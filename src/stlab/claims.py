@@ -86,13 +86,22 @@ def verify_theorem(
     oracle_cap: int = 5,
     jobs: int = 1,
 ) -> list[ClaimRow]:
-    """Check one tagged claim over a grid of orders; one row per (n, k)."""
+    """Check one tagged claim over a grid of orders; one row per (n, k).
+
+    A grid without rows is a usage error, never a vacuous pass.
+    """
     if tag not in TAGS:
         raise ValueError(f"unknown tag {tag!r}; expected one of {TAGS}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    oracle_cap = min(oracle_cap, ENUM_CAP)
     k_hi = k_max if k_max is not None else 5
+    rows = _grid_rows(tag, n_max, k_hi, min(oracle_cap, ENUM_CAP), jobs)
+    if not rows:
+        raise ValueError(f"empty grid: {tag} has no rows with n <= {n_max} and k <= {k_hi}")
+    return rows
+
+
+def _grid_rows(tag: str, n_max: int, k_hi: int, oracle_cap: int, jobs: int) -> list[ClaimRow]:
     rows: list[ClaimRow] = []
 
     if tag == "thm1.3":

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from stlab.cli import _default_jobs, main
 from stlab.serialize import parse_arclist
 
@@ -129,6 +131,21 @@ def test_verify_pass_and_fail_codes(capsys):
     code, out, _ = run(capsys, "verify", "thm1.5", "--n-max", "6", "--oracle-cap", "4")
     assert code == 0
     assert "skipped" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lemma3.1", "--k-max", "2"),
+        ("thm1.3", "--k-max", "2"),
+        ("lemma3.1", "--n-max", "3"),
+    ],
+)
+def test_verify_empty_grid_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert "rows PASS" not in out
+    assert "error: empty grid" in err
 
 
 def test_default_jobs_env(monkeypatch):

@@ -7,6 +7,8 @@ from stlab.digraph import build_digraph, is_weakly_connected, permute
 from stlab.families import enumerate_bk01_members, gen_bk, gen_fnk, gen_transitive_tournament
 from stlab.invariants import first_zagreb, laplacian_energy
 from stlab.search import (
+    OBJECTIVES,
+    _scan_chunk,
     are_isomorphic,
     canonical_label,
     cycle_arc_masks,
@@ -21,6 +23,36 @@ from stlab.serialize import dumps, report_json
 from conftest import random_digraph
 
 DIGON = build_digraph(2, [(0, 1), (1, 0)])
+
+
+def _reference_scan(n, lo, hi):
+    """Plain per-mask sweep: every (L, objective, scope) result of one range."""
+    rows = []
+    for mask in range(lo, hi):
+        g = digraph_from_mask(n, mask)
+        free = {length: length > n or is_ck_free(g, length) for length in range(2, n + 2)}
+        values = {"LE": laplacian_energy(g), "M1": first_zagreb(g), "ARCS": g.e}
+        rows.append((mask, free, values, is_weakly_connected(g)))
+    results = {}
+    for length in range(2, n + 2):
+        for objective in OBJECTIVES:
+            for connected_only in (False, True):
+                best, hits = None, []
+                for mask, free, values, connected in rows:
+                    if not free[length] or (connected_only and not connected):
+                        continue
+                    if best is None or values[objective] > best:
+                        best, hits = values[objective], [mask]
+                    elif values[objective] == best:
+                        hits.append(mask)
+                results[length, objective, connected_only] = (best, hits, hi - lo)
+    return results
+
+
+def _assert_kernel_matches_reference(n, lo, hi):
+    for (length, objective, connected_only), want in _reference_scan(n, lo, hi).items():
+        got = _scan_chunk((n, lo, hi, length, objective, connected_only))
+        assert got == want, (n, lo, length, objective, connected_only)
 
 
 class TestMaskEncoding:
@@ -51,6 +83,25 @@ class TestMaskEncoding:
         assert len(cycle_arc_masks(5, 2)) == 10
         assert len(cycle_arc_masks(5, 4)) == 30
         assert len(cycle_arc_masks(4, 5)) == 0
+
+
+class TestSweepKernel:
+    """The row-split kernel against an independent per-mask reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_whole_sweep(self, n):
+        _assert_kernel_matches_reference(n, 0, 1 << (n * (n - 1)))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_aligned_subranges_with_fixed_high_rows(self, n):
+        # 2^10-mask ranges split after row 0; the bits above each range are
+        # random and nonzero, so fixed rows, crossing cycles and crossing
+        # digons all occur.
+        rng = random.Random(41 + n)
+        size = 1 << 10
+        for _ in range(3):
+            lo = rng.randrange(1, 1 << (n * (n - 1) - 10)) * size
+            _assert_kernel_matches_reference(n, lo, lo + size)
 
 
 class TestIsomorphism:
@@ -167,6 +218,16 @@ class TestSearch:
         # sanity: the connected filter is real (all witnesses connected)
         report = search_extremal(3, 2, "LE", scope="connected_only")
         assert all(is_weakly_connected(w) for w in report.witnesses)
+
+    def test_dedup_canonicalises_once_per_class(self, monkeypatch):
+        # all 2^10 labelled tournaments on 5 vertices attain the maximum
+        calls = []
+        monkeypatch.setattr(
+            "stlab.search.canonical_label", lambda g: calls.append(g) or canonical_label(g)
+        )
+        report = search_extremal(5, 2, "ARCS")
+        assert report.max_value == 10
+        assert len(report.witnesses) == len(calls) == 12
 
     def test_worker_count_does_not_change_report(self):
         solo = dumps(report_json(search_extremal(5, 3, "M1", jobs=1)))
