@@ -30,13 +30,15 @@ from stlab.families import enumerate_bk01_members, enumerate_fnk_members, gen_fn
 from stlab.formulas import ex_arcs_ck, ex_le_ck, ex_m1_c3
 from stlab.invariants import first_zagreb, laplacian_energy
 from stlab.majorization import verify_fnk_ordering
-from stlab.search import ENUM_CAP, canonical_label, search_extremal
+from stlab.search import ENUM_CAP, CanonicalForm, canonical_label, search_extremal
 
 TAGS = ("thm1.3", "thm1.4", "thm1.5", "thm1.6", "lemma2.1", "lemma3.1")
 
 WITNESS_OK = "ok"
 WITNESS_MISMATCH = "mismatch"
 WITNESS_SKIPPED = "skipped"
+
+Forms = tuple[CanonicalForm, ...]
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,9 @@ class ClaimRow:
     oracle: int | None
     witness: str
     ok: bool
+    # Witness classes the claim expects but the oracle lacks, and vice versa.
+    missing: Forms = ()
+    extra: Forms = ()
 
 
 def _fnk_extremal_member(n: int, k: int) -> Digraph:
@@ -56,10 +61,11 @@ def _fnk_extremal_member(n: int, k: int) -> Digraph:
     return gen_fnk(n, k, q + 1 if r else None)
 
 
-def _witness_sets_match(found: tuple[Digraph, ...], expected: list[Digraph]) -> bool:
-    want = {canonical_label(g).data for g in expected}
-    got = {canonical_label(g).data for g in found}
-    return want == got
+def _witness_diff(found: tuple[Digraph, ...], expected: list[Digraph]) -> tuple[Forms, Forms]:
+    """(missing, extra): expected classes not found, found classes not expected."""
+    want = {canonical_label(g) for g in expected}
+    got = {canonical_label(g) for g in found}
+    return tuple(sorted(want - got)), tuple(sorted(got - want))
 
 
 def _oracle_row(
@@ -69,14 +75,15 @@ def _oracle_row(
     expected: list[Digraph],
     oracle_cap: int,
     jobs: int,
-) -> tuple[int | None, str]:
+) -> tuple[int | None, str, Forms, Forms]:
     if n > oracle_cap:
-        return None, WITNESS_SKIPPED
+        return None, WITNESS_SKIPPED, (), ()
     report = search_extremal(
         n, forbidden_len, objective, jobs=jobs, allow_slow=oracle_cap >= ENUM_CAP
     )
-    witness = WITNESS_OK if _witness_sets_match(report.witnesses, expected) else WITNESS_MISMATCH
-    return report.max_value, witness
+    missing, extra = _witness_diff(report.witnesses, expected)
+    witness = WITNESS_MISMATCH if missing or extra else WITNESS_OK
+    return report.max_value, witness, missing, extra
 
 
 def verify_theorem(
@@ -112,9 +119,9 @@ def _grid_rows(tag: str, n_max: int, k_hi: int, oracle_cap: int, jobs: int) -> l
                 sizes = {g.e for g in members}
                 generator = members[0].e
                 gen_ok = sizes == {formula}
-                oracle, witness = _oracle_row(n, k + 1, "ARCS", members, oracle_cap, jobs)
+                oracle, witness, missing, extra = _oracle_row(n, k + 1, "ARCS", members, oracle_cap, jobs)
                 ok = gen_ok and (oracle in (None, formula)) and witness != WITNESS_MISMATCH
-                rows.append(ClaimRow(tag, n, k, formula, generator, oracle, witness, ok))
+                rows.append(ClaimRow(tag, n, k, formula, generator, oracle, witness, ok, missing, extra))
         return rows
 
     if tag == "thm1.4":
@@ -123,9 +130,9 @@ def _grid_rows(tag: str, n_max: int, k_hi: int, oracle_cap: int, jobs: int) -> l
                 formula = ex_le_ck(n, k).value
                 member = _fnk_extremal_member(n, k)
                 generator = laplacian_energy(member)
-                oracle, witness = _oracle_row(n, k + 1, "LE", [member], oracle_cap, jobs)
+                oracle, witness, missing, extra = _oracle_row(n, k + 1, "LE", [member], oracle_cap, jobs)
                 ok = generator == formula and (oracle in (None, formula)) and witness != WITNESS_MISMATCH
-                rows.append(ClaimRow(tag, n, k, formula, generator, oracle, witness, ok))
+                rows.append(ClaimRow(tag, n, k, formula, generator, oracle, witness, ok, missing, extra))
         return rows
 
     if tag == "thm1.5":
@@ -133,9 +140,9 @@ def _grid_rows(tag: str, n_max: int, k_hi: int, oracle_cap: int, jobs: int) -> l
             formula = ex_le_ck(n, 1).value
             member = gen_transitive_tournament(n)
             generator = laplacian_energy(member)
-            oracle, witness = _oracle_row(n, 2, "LE", [member], oracle_cap, jobs)
+            oracle, witness, missing, extra = _oracle_row(n, 2, "LE", [member], oracle_cap, jobs)
             ok = generator == formula and (oracle in (None, formula)) and witness != WITNESS_MISMATCH
-            rows.append(ClaimRow(tag, n, 1, formula, generator, oracle, witness, ok))
+            rows.append(ClaimRow(tag, n, 1, formula, generator, oracle, witness, ok, missing, extra))
         return rows
 
     if tag == "thm1.6":
@@ -145,9 +152,9 @@ def _grid_rows(tag: str, n_max: int, k_hi: int, oracle_cap: int, jobs: int) -> l
             energies = {laplacian_energy(g) for g in members}
             generator = laplacian_energy(members[0])
             gen_ok = energies == {formula}
-            oracle, witness = _oracle_row(n, 3, "LE", members, oracle_cap, jobs)
+            oracle, witness, missing, extra = _oracle_row(n, 3, "LE", members, oracle_cap, jobs)
             ok = gen_ok and (oracle in (None, formula)) and witness != WITNESS_MISMATCH
-            rows.append(ClaimRow(tag, n, 2, formula, generator, oracle, witness, ok))
+            rows.append(ClaimRow(tag, n, 2, formula, generator, oracle, witness, ok, missing, extra))
         return rows
 
     if tag == "lemma2.1":
@@ -155,9 +162,9 @@ def _grid_rows(tag: str, n_max: int, k_hi: int, oracle_cap: int, jobs: int) -> l
             formula = ex_m1_c3(n).value
             member = _fnk_extremal_member(n, 2)
             generator = first_zagreb(member)
-            oracle, witness = _oracle_row(n, 3, "M1", [member], oracle_cap, jobs)
+            oracle, witness, missing, extra = _oracle_row(n, 3, "M1", [member], oracle_cap, jobs)
             ok = generator == formula and (oracle in (None, formula)) and witness != WITNESS_MISMATCH
-            rows.append(ClaimRow(tag, n, k=2, formula=formula, generator=generator, oracle=oracle, witness=witness, ok=ok))
+            rows.append(ClaimRow(tag, n, k=2, formula=formula, generator=generator, oracle=oracle, witness=witness, ok=ok, missing=missing, extra=extra))
         return rows
 
     # lemma3.1: no oracle column; the ordering check is generator-side exact.

@@ -161,6 +161,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"{row.tag:<9} {row.n:>3} {k:>3} {row.formula:>10} {generator:>10} "
             f"{oracle:>8} {row.witness:>10}  {status}"
         )
+    for row in rows:
+        for label, forms in (("missing", row.missing), ("extra", row.extra)):
+            for form in forms:
+                print(f"{row.tag} n={row.n} k={row.k}: {label} witness class")
+                sys.stdout.write(render_arclist(form.to_digraph()))
     passed = sum(row.ok for row in rows)
     print(f"{passed}/{len(rows)} rows PASS")
     return EXIT_OK if passed == len(rows) else EXIT_FAIL

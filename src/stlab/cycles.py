@@ -102,9 +102,12 @@ def _search_anchor(g: Digraph, anchor: int, allowed: int, length: int) -> tuple[
 
 
 def find_cycle_of_length(g: Digraph, length: int) -> CycleWitness | None:
-    """A witness cycle of exactly ``length`` arcs, or None when none exists."""
-    if not 2 <= length <= g.n:
-        raise ValueError(f"cycle length must be in 2..{g.n}, got {length}")
+    """A witness cycle of exactly ``length`` arcs, or None when none exists.
+
+    A length above n fits no cycle, so every digraph is vacuously free of it.
+    """
+    if length < 2:
+        raise ValueError(f"cycle length must be >= 2, got {length}")
     for comp in _strong_components(g):
         if comp.bit_count() < length:
             continue

@@ -19,10 +19,26 @@ the global max and unions the witnesses, so reports are identical for any
 number of workers.  Witnesses are deduplicated up to isomorphism with
 orbit pruning: one pending witness is canonically labelled and all n!
 relabellings of it leave the pending set, so canonical labelling runs
-once per isomorphism class.  The canonical label is the minimum row
-serialization over all vertex relabellings compatible with iterated
-(outdegree, indegree) colour refinement, which is exact (no hashing
-heuristics).
+once per isomorphism class.
+
+The canonical label is the minimum row serialization over all vertex
+relabellings compatible with iterated (outdegree, indegree) colour
+refinement: each colour class takes a block of consecutive positions, in
+class order.  It is exact (no hashing heuristics) and found without
+enumerating those relabellings, by a lex-min partition search with
+automorphism pruning (McKay & Piperno, "Practical graph isomorphism, II",
+2014).  Positions are filled in order; position i takes a vertex y from
+the cell holding it.  The smallest row y can get puts its out-neighbours
+at the lowest positions of every cell, so that row is known at once; only
+the candidates with the least row are kept, y is individualised and every
+cell is split into (out-neighbours of y, the rest).  A branch whose rows
+already exceed the best leaf's is pruned.  Two leaves with equal rows give
+an automorphism: the search returns to where their paths part, and skips
+siblings in the orbit of an explored one under the automorphisms found so
+far that fix the filled positions.  are_isomorphic compares canonical
+forms.  ISO_CAP is 10; the 2-byte rows of CanonicalForm cap it at 16, which
+an import-time check enforces.  On a 2-vCPU Intel Xeon VM (Python 3.11),
+K10 and the empty 10-vertex digraph take about 2 ms, C10 about 0.5 ms.
 """
 
 from __future__ import annotations
@@ -35,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from stlab.digraph import Digraph, is_weakly_connected
+from stlab.digraph import Digraph, _iter_bits, is_weakly_connected
 
 ENUM_CAP = 6
 ISO_CAP = 10
@@ -329,41 +345,28 @@ def search_extremal(
 # ---------------------------------------------------------------------------
 # Isomorphism and canonical labelling
 
+# CanonicalForm stores each row in ROW_BYTES bytes, one bit per vertex.
+ROW_BYTES = 2
+if ISO_CAP > 8 * ROW_BYTES:
+    raise ImportError(f"ISO_CAP = {ISO_CAP} does not fit {ROW_BYTES}-byte canonical rows")
 
-def _refine_colors(graphs: list[Digraph]) -> list[list[int]]:
-    """Joint iterated colour refinement; ranks are comparable across graphs."""
-    items = [(gi, v) for gi, g in enumerate(graphs) for v in range(g.n)]
-    keys = {
-        (gi, v): (graphs[gi].out_degree(v), graphs[gi].in_degree(v)) for gi, v in items
-    }
-    colors = {}
+
+def _refine_colors(g: Digraph) -> list[int]:
+    """Iterated (outdegree, indegree) colour refinement; colours rank the classes."""
+    in_rows = [sum(1 << u for u in range(g.n) if g.rows[u] >> v & 1) for v in range(g.n)]
+    keys = [(row.bit_count(), into.bit_count()) for row, into in zip(g.rows, in_rows)]
     distinct = 0
     while True:
-        ranking = {key: rank for rank, key in enumerate(sorted(set(keys.values())))}
-        colors = {item: ranking[keys[item]] for item in items}
-        if len(ranking) == distinct:
-            break
+        ranking = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+        colors = [ranking[key] for key in keys]
+        # A discrete colouring cannot split further and keeps its order.
+        if len(ranking) in (distinct, g.n):
+            return colors
         distinct = len(ranking)
-        keys = {}
-        for gi, v in items:
-            g = graphs[gi]
-            out_c = tuple(sorted(colors[(gi, w)] for w in g.out_neighbors(v)))
-            in_c = tuple(sorted(colors[(gi, w)] for w in g.in_neighbors(v)))
-            keys[(gi, v)] = (colors[(gi, v)], out_c, in_c)
-    return [[colors[(gi, v)] for v in range(g.n)] for gi, g in enumerate(graphs)]
-
-
-def _permuted_rows(g: Digraph, perm: list[int]) -> tuple[int, ...]:
-    rows = [0] * g.n
-    for u in range(g.n):
-        target = 0
-        word = g.rows[u]
-        while word:
-            low = word & -word
-            target |= 1 << perm[low.bit_length() - 1]
-            word ^= low
-        rows[perm[u]] = target
-    return tuple(rows)
+        keys = [
+            (color, tuple(sorted(colors[w] for w in _iter_bits(row))), tuple(sorted(colors[w] for w in _iter_bits(into))))
+            for color, row, into in zip(colors, g.rows, in_rows)
+        ]
 
 
 @dataclass(frozen=True, order=True)
@@ -376,74 +379,83 @@ class CanonicalForm:
         return self.data.hex()
 
     def to_digraph(self) -> Digraph:
-        n = self.data[0]
-        rows = tuple(
-            int.from_bytes(self.data[1 + 2 * u : 3 + 2 * u], "big") for u in range(n)
-        )
-        return Digraph(n, rows)
+        n, w = self.data[0], ROW_BYTES
+        return Digraph(n, tuple(int.from_bytes(self.data[1 + w * u : 1 + w * (u + 1)], "big") for u in range(n)))
 
 
 def canonical_label(g: Digraph) -> CanonicalForm:
-    """Minimum row serialization over refinement-compatible relabellings."""
-    if g.n > ISO_CAP:
-        raise ValueError(f"canonical labelling is capped at n <= {ISO_CAP}, got {g.n}")
-    colors = _refine_colors([g])[0]
-    classes: dict[int, list[int]] = {}
-    for v in range(g.n):
-        classes.setdefault(colors[v], []).append(v)
-    ordered_classes = [classes[c] for c in sorted(classes)]
-    best: tuple[int, ...] | None = None
-    perm = [0] * g.n
-    for pick in itertools.product(*(itertools.permutations(c) for c in ordered_classes)):
-        pos = 0
-        for block in pick:
-            for v in block:
-                perm[v] = pos
-                pos += 1
-        rows = _permuted_rows(g, perm)
-        if best is None or rows < best:
-            best = rows
-    data = bytes([g.n]) + b"".join(row.to_bytes(2, "big") for row in best)
-    return CanonicalForm(data)
+    """Minimum row serialization over refinement-compatible relabellings.
+
+    Found by the lex-min partition search the module docstring describes.
+    """
+    n, rows = g.n, g.rows
+    if n > ISO_CAP:
+        raise ValueError(f"canonical labelling is capped at n <= {ISO_CAP}, got {n}")
+    colors = _refine_colors(g)
+    classes = [0] * (max(colors) + 1)
+    for v, color in enumerate(colors):
+        classes[color] |= 1 << v
+    best: list = []  # [rows, vertex at each position] of the least leaf so far
+    autos: list[list[int]] = []
+
+    def search(cells: list[int], cert: tuple[int, ...]) -> int:
+        """Explore one node; return n, or a depth whose current child an automorphism covers."""
+        i = len(cert)
+        if len(cells) == n:
+            # A discrete partition is a leaf: the remaining rows are forced.
+            order = [cell.bit_length() - 1 for cell in cells]
+            position = {v: p for p, v in enumerate(order)}
+            cert += tuple(sum(1 << position[w] for w in _iter_bits(rows[v])) for v in order[i:])
+            if not best or cert < best[0]:
+                best[:] = [cert, order]
+            elif cert == best[0]:
+                # An automorphism maps this leaf onto the best one, so the
+                # subtree where their paths part repeats an explored sibling.
+                autos.append([b for _, b in sorted(zip(order, best[1]))])
+                return next(p for p, (a, b) in enumerate(zip(order, best[1])) if a != b)
+            return n
+        starts = list(itertools.accumulate((cell.bit_count() for cell in cells), initial=0))
+        starts[i] += 1  # the candidate itself takes position i
+        scored = [
+            (sum(((1 << (rows[y] & c).bit_count()) - 1) << s for c, s in zip(cells, starts)), y)
+            for y in _iter_bits(cells[i])
+        ]
+        least = min(scored)[0]
+        cert += (least,)
+        if best and cert > best[0][: i + 1]:
+            return n
+        explored = 0
+        for row, y in scored:
+            if row != least:
+                continue
+            if explored:
+                # Close the explored candidates under the automorphisms fixing the prefix.
+                prefix = [cell.bit_length() - 1 for cell in cells[:i]]
+                stabilizer = [a for a in autos if all(a[x] == x for x in prefix)]
+                frontier = explored
+                while frontier:
+                    frontier = sum({1 << a[v] for v in _iter_bits(frontier) for a in stabilizer}) & ~explored
+                    explored |= frontier
+                if explored >> y & 1:
+                    continue
+            child = cells[:i] + [1 << y]
+            for cell in cells[i:]:
+                cell &= ~(1 << y)
+                child += [part for part in (cell & rows[y], cell & ~rows[y]) if part]
+            back = search(child, cert)
+            if back < i:
+                return back
+            explored |= 1 << y
+        return n
+
+    search(classes, ())
+    return CanonicalForm(bytes([n]) + b"".join(row.to_bytes(ROW_BYTES, "big") for row in best[0]))
 
 
 def are_isomorphic(g: Digraph, h: Digraph) -> bool:
-    """Permutation search pruned by joint colour refinement."""
+    """True iff g and h have the same canonical form."""
     if g.n != h.n:
         raise ValueError(f"order mismatch: {g.n} vs {h.n}")
     if g.n > ISO_CAP:
         raise ValueError(f"isomorphism testing is capped at n <= {ISO_CAP}, got {g.n}")
-    if g.e != h.e:
-        return False
-    colors_g, colors_h = _refine_colors([g, h])
-    if sorted(colors_g) != sorted(colors_h):
-        return False
-    candidates: dict[int, list[int]] = {}
-    for w, color in enumerate(colors_h):
-        candidates.setdefault(color, []).append(w)
-    order = sorted(range(g.n), key=lambda v: (len(candidates[colors_g[v]]), v))
-    image = [-1] * g.n
-    used = [False] * h.n
-
-    def place(idx: int) -> bool:
-        if idx == g.n:
-            return True
-        v = order[idx]
-        for w in candidates[colors_g[v]]:
-            if used[w]:
-                continue
-            if any(
-                g.has_arc(v, v2) != h.has_arc(w, image[v2])
-                or g.has_arc(v2, v) != h.has_arc(image[v2], w)
-                for v2 in order[:idx]
-            ):
-                continue
-            image[v] = w
-            used[w] = True
-            if place(idx + 1):
-                return True
-            used[w] = False
-            image[v] = -1
-        return False
-
-    return place(0)
+    return g.e == h.e and canonical_label(g) == canonical_label(h)

@@ -1,9 +1,12 @@
+import dataclasses
 import io
 import json
 
 import pytest
 
 from stlab.cli import _default_jobs, main
+from stlab.digraph import build_digraph
+from stlab.search import search_extremal
 from stlab.serialize import parse_arclist
 
 
@@ -83,6 +86,16 @@ def test_free_pass_and_fail(capsys):
     assert len(arc_lines) == 3
 
 
+def test_free_longer_than_n_is_vacuous(capsys):
+    code, out, _ = run(capsys, "free", "kd:n=3", "--len", "4")
+    assert code == 0
+    assert out == "C4-free\n"
+
+    code, _, err = run(capsys, "free", "kd:n=3", "--len", "1")
+    assert code == 2
+    assert "cycle length" in err
+
+
 def test_formula(capsys):
     code, out, _ = run(capsys, "formula", "--quantity", "ex_le", "--n", "5", "--k", "2")
     assert code == 0
@@ -131,6 +144,27 @@ def test_verify_pass_and_fail_codes(capsys):
     code, out, _ = run(capsys, "verify", "thm1.5", "--n-max", "6", "--oracle-cap", "4")
     assert code == 0
     assert "skipped" in out
+
+
+def test_verify_mismatch_lists_witness_classes(capsys, monkeypatch):
+    # The oracle reports the empty digraph instead of the transitive tournament at n = 3.
+    def wrong_witnesses(n, *args, **kwargs):
+        report = search_extremal(n, *args, **kwargs)
+        if n != 3:
+            return report
+        return dataclasses.replace(report, witnesses=(build_digraph(3, []),))
+
+    monkeypatch.setattr("stlab.claims.search_extremal", wrong_witnesses)
+    code, out, _ = run(capsys, "verify", "thm1.5", "--n-max", "3")
+    assert code == 1
+    table, details = out.split("thm1.5 n=3 k=1: missing witness class\n")
+    assert table.splitlines()[-1].split()[-2:] == ["mismatch", "FAIL"]
+    assert details == (
+        "DIGRAPH 3 3\n1 0\n2 0\n2 1\n"
+        "thm1.5 n=3 k=1: extra witness class\n"
+        "DIGRAPH 3 0\n"
+        "2/3 rows PASS\n"
+    )
 
 
 @pytest.mark.parametrize(

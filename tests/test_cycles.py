@@ -47,8 +47,9 @@ def test_bipartite_block_has_no_odd_cycle():
 def test_length_range_errors():
     with pytest.raises(ValueError, match="cycle length"):
         find_cycle_of_length(DIGON, 1)
-    with pytest.raises(ValueError, match="cycle length"):
-        find_cycle_of_length(DIGON, 3)
+    # no cycle longer than n fits, so the digraph is vacuously free
+    assert find_cycle_of_length(DIGON, 3) is None
+    assert is_ck_free(gen_complete_digraph(4), 5)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

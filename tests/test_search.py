@@ -1,10 +1,18 @@
+import itertools
 import random
 
 import pytest
 
 from stlab.cycles import is_ck_free
-from stlab.digraph import build_digraph, is_weakly_connected, permute
-from stlab.families import enumerate_bk01_members, gen_bk, gen_fnk, gen_transitive_tournament
+from stlab.digraph import Digraph, build_digraph, is_weakly_connected, permute
+from stlab.families import (
+    bk01_compositions,
+    enumerate_bk01_members,
+    gen_bk,
+    gen_complete_digraph,
+    gen_fnk,
+    gen_transitive_tournament,
+)
 from stlab.invariants import first_zagreb, laplacian_energy
 from stlab.search import (
     OBJECTIVES,
@@ -25,12 +33,58 @@ from conftest import random_digraph
 DIGON = build_digraph(2, [(0, 1), (1, 0)])
 
 
+def _circulant(n, steps):
+    return build_digraph(n, [(u, (u + s) % n) for u in range(n) for s in steps])
+
+
+def _union(g, h):
+    return Digraph(g.n + h.n, g.rows + tuple(row << g.n for row in h.rows))
+
+
+def _relabelled(g, rng):
+    return permute(g, rng.sample(range(g.n), g.n))
+
+
+def _reference_canonical_bytes(g):
+    """Canonical bytes by trying every relabelling compatible with colour refinement.
+
+    Refinement starts from (outdegree, indegree) and re-keys each vertex by
+    (colour, sorted out-neighbour colours, sorted in-neighbour colours) until
+    the class count stops growing; classes take consecutive positions in the
+    sorted order of their keys.
+    """
+    keys = {v: (g.out_degree(v), g.in_degree(v)) for v in range(g.n)}
+    distinct = 0
+    while True:
+        ranking = {key: rank for rank, key in enumerate(sorted(set(keys.values())))}
+        colors = {v: ranking[keys[v]] for v in range(g.n)}
+        if len(ranking) == distinct:
+            break
+        distinct = len(ranking)
+        keys = {
+            v: (
+                colors[v],
+                tuple(sorted(colors[w] for w in g.out_neighbors(v))),
+                tuple(sorted(colors[w] for w in g.in_neighbors(v))),
+            )
+            for v in range(g.n)
+        }
+    classes = [[v for v in range(g.n) if colors[v] == c] for c in range(distinct)]
+    best = None
+    for pick in itertools.product(*(itertools.permutations(c) for c in classes)):
+        order = [v for block in pick for v in block]
+        rows = permute(g, [order.index(v) for v in range(g.n)]).rows
+        if best is None or rows < best:
+            best = rows
+    return bytes([g.n]) + b"".join(row.to_bytes(2, "big") for row in best)
+
+
 def _reference_scan(n, lo, hi):
     """Plain per-mask sweep: every (L, objective, scope) result of one range."""
     rows = []
     for mask in range(lo, hi):
         g = digraph_from_mask(n, mask)
-        free = {length: length > n or is_ck_free(g, length) for length in range(2, n + 2)}
+        free = {length: is_ck_free(g, length) for length in range(2, n + 2)}
         values = {"LE": laplacian_energy(g), "M1": first_zagreb(g), "ARCS": g.e}
         rows.append((mask, free, values, is_weakly_connected(g)))
     results = {}
@@ -123,6 +177,38 @@ class TestIsomorphism:
         with pytest.raises(ValueError, match="capped"):
             are_isomorphic(big, big)
 
+    def test_agrees_with_networkx(self):
+        nx = pytest.importorskip("networkx")
+
+        def to_nx(g):
+            graph = nx.DiGraph()
+            graph.add_nodes_from(range(g.n))
+            graph.add_edges_from(g.arcs())
+            return graph
+
+        rng = random.Random(53)
+        pairs = [
+            (_circulant(8, (1,)), _union(_circulant(3, (1,)), _circulant(5, (1,)))),
+            (_circulant(8, (1,)), _union(_circulant(4, (1,)), _circulant(4, (1,)))),
+            (_circulant(8, (1, 2)), _union(_circulant(4, (1, 2)), _circulant(4, (1, 2)))),
+            (_circulant(7, (1, 2)), _circulant(7, (1, 3))),
+            (gen_bk([4, 2, 2]), gen_bk([2, 4, 2])),
+        ]
+        for _ in range(200):
+            g = random_digraph(rng, rng.randint(1, 8), rng.choice((0.2, 0.5, 0.8)))
+            # Swapping heads of two arcs keeps every outdegree and indegree.
+            rows, arcs = list(g.rows), list(g.arcs())
+            for _ in range(10 if len(arcs) >= 2 else 0):
+                (u, v), (x, y) = rng.sample(arcs, 2)
+                if len({u, v, x, y}) == 4 and not rows[u] >> y & 1 and not rows[x] >> v & 1:
+                    rows[u] ^= 1 << v | 1 << y
+                    rows[x] ^= 1 << y | 1 << v
+                    break
+            pairs += [(g, _relabelled(Digraph(g.n, tuple(rows)), rng)), (g, _relabelled(g, rng))]
+        verdicts = [are_isomorphic(g, h) for g, h in pairs]
+        assert verdicts == [nx.is_isomorphic(to_nx(g), to_nx(h)) for g, h in pairs]
+        assert 0 < sum(verdicts) < len(pairs)
+
     def test_random_relabellings_are_isomorphic(self):
         rng = random.Random(17)
         for _ in range(100):
@@ -167,6 +253,60 @@ class TestCanonicalLabel:
     def test_cap(self):
         with pytest.raises(ValueError, match="capped"):
             canonical_label(build_digraph(11, []))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            gen_complete_digraph(10),
+            build_digraph(10, []),
+            _circulant(10, (1,)),
+            _circulant(10, (1, 3)),
+            gen_bk([4, 4, 2]),
+        ],
+        ids=["K10", "empty10", "C10", "circulant10-1-3", "bk4-4-2"],
+    )
+    def test_symmetric_inputs_at_the_cap(self, g):
+        rng = random.Random(g.e)
+        first, second = _relabelled(g, rng), _relabelled(g, rng)
+        assert canonical_label(first) == canonical_label(second) == canonical_label(g)
+
+    def test_complete_digraph_is_its_own_form(self):
+        k10 = gen_complete_digraph(10)
+        assert canonical_label(k10).to_digraph() == k10
+
+
+class TestCanonicalBytesMatchReference:
+    """The partition search returns the bytes of the exhaustive reference labeller."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_digraph(self, n):
+        for g in enumerate_digraphs(n):
+            assert canonical_label(g).data == _reference_canonical_bytes(g), g
+
+    def test_random_digraphs(self):
+        rng = random.Random(43)
+        for _ in range(500):
+            g = random_digraph(rng, rng.randint(5, 7), rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+            assert canonical_label(g).data == _reference_canonical_bytes(g), g
+
+    def test_symmetric_digraphs(self):
+        rng = random.Random(47)
+        inputs = []
+        for n in range(2, 8):
+            inputs += [gen_complete_digraph(n), build_digraph(n, []), _circulant(n, (1,))]
+            inputs += [_circulant(n, steps) for steps in ((1, 2), (1, 3)) if max(steps) < n]
+            inputs += [gen_bk(parts) for parts in bk01_compositions(n)]
+        inputs += [_union(_circulant(3, (1,)), _circulant(4, (1,))), _union(DIGON, _circulant(5, (1, 2)))]
+        # Three copies of a connected 3-vertex digraph: n = 9, where orbit pruning
+        # must use only the automorphisms that fix the prefix.  Unequal degrees
+        # keep the colour classes, and so the reference, small.
+        for mask in range(64):
+            base = digraph_from_mask(3, mask)
+            if is_weakly_connected(base) and len({(base.out_degree(v), base.in_degree(v)) for v in range(3)}) > 1:
+                inputs.append(_union(_union(base, base), base))
+        for g in inputs:
+            h = _relabelled(g, rng)
+            assert canonical_label(h).data == _reference_canonical_bytes(h), g
 
 
 class TestSearch:
