@@ -10,7 +10,7 @@ fresh value, which makes them safe to share across parallel workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
@@ -86,16 +86,40 @@ def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     return Digraph(n, tuple(rows))
 
 
+@lru_cache(maxsize=None)
+def _transpose_rounds(width: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) per block-swap round of a packed width x width transpose.
+
+    Round j exchanges bit j of the row and column indices: the mask marks
+    cells (u, v) with u & j == 0 and v & j != 0, whose partners (u + j, v - j)
+    sit j * (width - 1) bits higher (Warren, Hacker's Delight, section 7-3).
+    """
+    rounds = []
+    j = 1
+    while j < width:
+        cols = sum(1 << v for v in range(width) if v & j)
+        mask = sum(cols << (u * width) for u in range(width) if not u & j)
+        rounds.append((j * (width - 1), mask))
+        j <<= 1
+    return tuple(rounds)
+
+
 def digon_count(g: Digraph) -> int:
-    """Number of unordered pairs {u, v} joined by arcs in both directions."""
-    total = 0
-    for u in range(g.n):
-        row = g.rows[u] >> (u + 1)  # partners above u, so each pair counts once
-        for off in _iter_bits(row):
-            v = u + 1 + off
-            if g.rows[v] >> u & 1:
-                total += 1
-    return total
+    """Number of unordered pairs {u, v} joined by arcs in both directions.
+
+    The rows are packed into one int at a power-of-two stride, transposed
+    by masked block swaps, and the digons are half the popcount of A & A^T
+    (the diagonal is empty because loops are not allowed).
+    """
+    width = 1 << (g.n - 1).bit_length()
+    packed = 0
+    for u, row in enumerate(g.rows):
+        packed |= row << (u * width)
+    transposed = packed
+    for shift, mask in _transpose_rounds(width):
+        swap = (transposed ^ (transposed >> shift)) & mask
+        transposed ^= swap ^ (swap << shift)
+    return (packed & transposed).bit_count() // 2
 
 
 def permute(g: Digraph, perm: Sequence[int]) -> Digraph:

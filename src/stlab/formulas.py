@@ -37,8 +37,7 @@ class ExactValue:
 
 
 def _exact(numerator: int, denominator: int, source: str) -> ExactValue:
-    if numerator % denominator:
-        raise ArithmeticError(f"{source}: {numerator}/{denominator} is not an integer")
+    """numerator / denominator; ExactValue raises ArithmeticError if inexact."""
     return ExactValue(numerator // denominator, numerator, denominator, source)
 
 

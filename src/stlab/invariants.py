@@ -16,7 +16,11 @@ from stlab.digraph import DegreeSequence, Digraph, digon_count, out_degree_seque
 
 
 def c2(g: Digraph) -> int:
-    """Total number of directed closed walks of length 2 (= trace(A^2))."""
+    """Total number of directed closed walks of length 2 (= trace(A^2)).
+
+    Twice the digon count, which is the popcount of A & A^T on the packed
+    bit matrix after a block-swap transpose (see digraph.digon_count).
+    """
     return 2 * digon_count(g)
 
 

@@ -67,8 +67,9 @@ def verify_fnk_ordering(n: int, k: int) -> list[tuple[int, int]]:
     Returns [(s, LE of the member with the residual block at position s+1)]
     for s = 0..q.  Raises if the energies are not strictly increasing in s,
     or if a later placement fails to majorize an earlier one (prefix sums
-    of the outdegree sequence), or when n % k == 0 and there is only the
-    single member with nothing to order.
+    of the outdegree sequence, checked between consecutive placements), or
+    when n % k == 0 and there is only the single member with nothing to
+    order.
     """
     q, r = divmod(n, k)
     if r == 0:
@@ -81,12 +82,13 @@ def verify_fnk_ordering(n: int, k: int) -> list[tuple[int, int]]:
                 f"energy ordering violated at n={n}, k={k}: "
                 f"LE(s={s})={energies[s]} !< LE(s={s + 1})={energies[s + 1]}"
             )
+    # Majorization between equal-length sequences is transitive, so the
+    # consecutive chain implies every later placement majorizes every earlier one.
     seqs = [out_degree_sequence(g).values for g in members]
-    for s_lo in range(q + 1):
-        for s_hi in range(s_lo + 1, q + 1):
-            if not majorizes(seqs[s_hi], seqs[s_lo]):
-                raise ArithmeticError(
-                    f"majorization violated at n={n}, k={k}: "
-                    f"placement {s_hi} does not majorize placement {s_lo}"
-                )
+    for s in range(q):
+        if not majorizes(seqs[s + 1], seqs[s]):
+            raise ArithmeticError(
+                f"majorization violated at n={n}, k={k}: "
+                f"placement {s + 1} does not majorize placement {s}"
+            )
     return list(enumerate(energies))

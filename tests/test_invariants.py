@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stlab.digraph import build_digraph, digon_count, out_degree_sequence, permute
-from stlab.families import gen_complete_digraph, gen_fnk, gen_transitive_tournament
+from stlab.families import gen_bk, gen_complete_digraph, gen_fnk, gen_transitive_tournament
 from stlab.invariants import (
     c2,
     first_zagreb,
@@ -80,6 +80,17 @@ def test_isomorphism_invariance(pair):
     assert laplacian_energy(h) == laplacian_energy(g)
     assert first_zagreb(h) == first_zagreb(g)
     assert c2(h) == c2(g)
+
+
+def test_c2_against_matrix_squaring_at_every_width():
+    # n = 1..64 covers every transpose width of digon_count (1, 2, ..., 64)
+    # and the ragged n < width cases; the block families are dense in digons.
+    rng = random.Random(20261018)
+    inputs = [random_digraph(rng, n, rng.choice((0.1, 0.5, 0.9))) for n in range(1, 65)]
+    inputs += [gen_fnk(63, 5, 3), gen_fnk(64, 5, 2), gen_bk([4] * 15 + [3]), gen_bk([4] * 16)]
+    inputs += [gen_complete_digraph(63), gen_complete_digraph(64)]
+    for g in inputs:
+        assert c2(g) == trace_L_squared(g) - first_zagreb(g)
 
 
 def test_energy_minus_zagreb_is_even():

@@ -1,6 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from stlab import majorization
+from stlab.digraph import out_degree_sequence
+from stlab.families import gen_fnk
 from stlab.majorization import KaramataVerdict, karamata_square_check, majorizes, verify_fnk_ordering
 
 
@@ -111,3 +114,19 @@ def test_ordering_is_strictly_increasing():
 def test_ordering_single_member_notice():
     with pytest.raises(ValueError, match="single member"):
         verify_fnk_ordering(4, 2)
+
+
+def test_ordering_reports_majorization_violation(monkeypatch):
+    # Hand each placement the outdegree sequence of its mirror image, so the
+    # energies stay increasing but the chain of sequences runs backwards.
+    members = [gen_fnk(7, 3, s + 1) for s in range(3)]
+    mirrored = {g: out_degree_sequence(m) for g, m in zip(members, reversed(members))}
+    monkeypatch.setattr(majorization, "out_degree_sequence", mirrored.__getitem__)
+    with pytest.raises(ArithmeticError, match="majorization violated at n=7, k=3: placement 1"):
+        verify_fnk_ordering(7, 3)
+
+
+def test_ordering_reports_energy_violation(monkeypatch):
+    monkeypatch.setattr(majorization, "laplacian_energy", lambda g: 0)
+    with pytest.raises(ArithmeticError, match="energy ordering violated at n=7, k=3"):
+        verify_fnk_ordering(7, 3)

@@ -243,12 +243,30 @@ class TestCanonicalLabel:
             assert canonical_label(rep) == form
 
     def test_agrees_with_isomorphism_search(self):
+        # Oracle: some relabelling of g is h, tried over all n! permutations.
+        # h is a relabelled copy of g, half the time with one degree-preserving
+        # switch (a, b), (c, d) -> (a, d), (c, b), so both verdicts occur
+        # among digraphs with equal in- and outdegree sequences.
         rng = random.Random(31)
-        for _ in range(60):
-            n = rng.randint(2, 5)
+        verdicts = set()
+        for _ in range(80):
+            n = rng.randint(3, 5)
             g = random_digraph(rng, n)
-            h = random_digraph(rng, n)
-            assert (canonical_label(g) == canonical_label(h)) == are_isomorphic(g, h)
+            arcs = set(permute(g, rng.sample(range(n), n)).arcs())
+            switches = [
+                ((a, b), (c, d))
+                for (a, b), (c, d) in itertools.combinations(sorted(arcs), 2)
+                if len({a, b, c, d}) == 4 and not {(a, d), (c, b)} & arcs
+            ]
+            if switches and rng.random() < 0.5:
+                (a, b), (c, d) = rng.choice(switches)
+                arcs -= {(a, b), (c, d)}
+                arcs |= {(a, d), (c, b)}
+            h = build_digraph(n, arcs)
+            iso = any(permute(g, perm) == h for perm in itertools.permutations(range(n)))
+            assert (canonical_label(g) == canonical_label(h)) == iso
+            verdicts.add(iso)
+        assert verdicts == {True, False}
 
     def test_cap(self):
         with pytest.raises(ValueError, match="capped"):
