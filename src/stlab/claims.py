@@ -14,20 +14,31 @@ Each tag names one closed-form claim together with its extremal witnesses:
            witness is the k = 2 chain with the residual block last.
 * lemma3.1 strict Laplacian-energy ordering of the residual placements.
 
-For each (n, k) row the driver compares the closed form against the
-generated family and, within the enumeration cap, against the exhaustive
-search maximum with witness sets matched up to isomorphism.  Rows beyond
-the cap keep their oracle columns marked "skipped" and still pass on the
-formula/generator comparison.
+The first five share one shape, so one ClaimSpec table row describes each:
+its k grid (3..k_max, or one fixed k), the search objective, the closed
+form, the expected witnesses and the measure that scores a witness.  One
+row loop checks them all: for each (n, k) it compares the closed form with
+the measure of every expected witness and, within the oracle cap, with the
+exhaustive search maximum over digraphs with no directed (k+1)-cycle, with
+witness sets matched up to isomorphism.  Rows beyond the cap keep their
+oracle columns marked "skipped" and still pass on the formula/generator
+comparison.  lemma3.1 has no oracle; its rows run the ordering check.
+
+Caps: n_max is at most MAX_VERTICES (64), the largest bit-row Digraph.
+The oracle runs for n <= min(oracle_cap, ENUM_CAP); oracle_cap defaults to
+5 and ENUM_CAP (6) bounds the mask sweep.  Witness classes are compared by
+canonical form, which canonical_label computes up to ISO_CAP (10) vertices,
+so the oracle cap, not ISO_CAP, binds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from stlab.digraph import Digraph
+from stlab.digraph import MAX_VERTICES, Digraph
 from stlab.families import enumerate_bk01_members, enumerate_fnk_members, gen_fnk, gen_transitive_tournament
-from stlab.formulas import ex_arcs_ck, ex_le_ck, ex_m1_c3
+from stlab.formulas import ExactValue, ex_arcs_ck, ex_le_ck, ex_m1_c3
 from stlab.invariants import first_zagreb, laplacian_energy
 from stlab.majorization import verify_fnk_ordering
 from stlab.search import ENUM_CAP, CanonicalForm, canonical_label, search_extremal
@@ -45,7 +56,7 @@ Forms = tuple[CanonicalForm, ...]
 class ClaimRow:
     tag: str
     n: int
-    k: int | None
+    k: int
     formula: int
     generator: int | None
     oracle: int | None
@@ -56,9 +67,38 @@ class ClaimRow:
     extra: Forms = ()
 
 
-def _fnk_extremal_member(n: int, k: int) -> Digraph:
+@dataclass(frozen=True)
+class ClaimSpec:
+    """One oracle-checked claim: max of ``measure`` with no directed (k+1)-cycle.
+
+    ``k`` is the claim's fixed k, or None for the grid k = 3..k_max.
+    ``formula`` and ``members`` take (n, k); ``members`` lists the expected
+    extremal witnesses, and the generator column is the measure of the first.
+    """
+
+    k: int | None
+    objective: str
+    formula: Callable[[int, int], ExactValue]
+    members: Callable[[int, int], list[Digraph]]
+    measure: Callable[[Digraph], int]
+
+
+def _fnk_extremal(n: int, k: int) -> list[Digraph]:
+    """The unique extremal chain: residual block last (uniform chain when r = 0)."""
     q, r = divmod(n, k)
-    return gen_fnk(n, k, q + 1 if r else None)
+    return [gen_fnk(n, k, q + 1 if r else None)]
+
+
+def _claim_specs() -> dict[str, ClaimSpec]:
+    # Built per call, so a function patched on this module (as in tests, or
+    # perfbench's tracer) is the one the rows call.
+    return {
+        "thm1.3": ClaimSpec(None, "ARCS", ex_arcs_ck, enumerate_fnk_members, lambda g: g.e),
+        "thm1.4": ClaimSpec(None, "LE", ex_le_ck, _fnk_extremal, laplacian_energy),
+        "thm1.5": ClaimSpec(1, "LE", ex_le_ck, lambda n, k: [gen_transitive_tournament(n)], laplacian_energy),
+        "thm1.6": ClaimSpec(2, "LE", ex_le_ck, lambda n, k: enumerate_bk01_members(n), laplacian_energy),
+        "lemma2.1": ClaimSpec(2, "M1", lambda n, k: ex_m1_c3(n), _fnk_extremal, first_zagreb),
+    }
 
 
 def _witness_diff(found: tuple[Digraph, ...], expected: list[Digraph]) -> tuple[Forms, Forms]:
@@ -66,24 +106,6 @@ def _witness_diff(found: tuple[Digraph, ...], expected: list[Digraph]) -> tuple[
     want = {canonical_label(g) for g in expected}
     got = {canonical_label(g) for g in found}
     return tuple(sorted(want - got)), tuple(sorted(got - want))
-
-
-def _oracle_row(
-    n: int,
-    forbidden_len: int,
-    objective: str,
-    expected: list[Digraph],
-    oracle_cap: int,
-    jobs: int,
-) -> tuple[int | None, str, Forms, Forms]:
-    if n > oracle_cap:
-        return None, WITNESS_SKIPPED, (), ()
-    report = search_extremal(
-        n, forbidden_len, objective, jobs=jobs, allow_slow=oracle_cap >= ENUM_CAP
-    )
-    missing, extra = _witness_diff(report.witnesses, expected)
-    witness = WITNESS_MISMATCH if missing or extra else WITNESS_OK
-    return report.max_value, witness, missing, extra
 
 
 def verify_theorem(
@@ -101,6 +123,8 @@ def verify_theorem(
         raise ValueError(f"unknown tag {tag!r}; expected one of {TAGS}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if n_max > MAX_VERTICES:
+        raise ValueError(f"n_max must be <= MAX_VERTICES = {MAX_VERTICES}, got {n_max}")
     k_hi = k_max if k_max is not None else 5
     rows = _grid_rows(tag, n_max, k_hi, min(oracle_cap, ENUM_CAP), jobs)
     if not rows:
@@ -109,65 +133,31 @@ def verify_theorem(
 
 
 def _grid_rows(tag: str, n_max: int, k_hi: int, oracle_cap: int, jobs: int) -> list[ClaimRow]:
+    if tag == "lemma3.1":
+        return _ordering_rows(n_max, k_hi)
+    spec = _claim_specs()[tag]
     rows: list[ClaimRow] = []
-
-    if tag == "thm1.3":
-        for k in range(3, k_hi + 1):
-            for n in range(1, n_max + 1):
-                formula = ex_arcs_ck(n, k).value
-                members = enumerate_fnk_members(n, k)
-                sizes = {g.e for g in members}
-                generator = members[0].e
-                gen_ok = sizes == {formula}
-                oracle, witness, missing, extra = _oracle_row(n, k + 1, "ARCS", members, oracle_cap, jobs)
-                ok = gen_ok and (oracle in (None, formula)) and witness != WITNESS_MISMATCH
-                rows.append(ClaimRow(tag, n, k, formula, generator, oracle, witness, ok, missing, extra))
-        return rows
-
-    if tag == "thm1.4":
-        for k in range(3, k_hi + 1):
-            for n in range(1, n_max + 1):
-                formula = ex_le_ck(n, k).value
-                member = _fnk_extremal_member(n, k)
-                generator = laplacian_energy(member)
-                oracle, witness, missing, extra = _oracle_row(n, k + 1, "LE", [member], oracle_cap, jobs)
-                ok = generator == formula and (oracle in (None, formula)) and witness != WITNESS_MISMATCH
-                rows.append(ClaimRow(tag, n, k, formula, generator, oracle, witness, ok, missing, extra))
-        return rows
-
-    if tag == "thm1.5":
+    for k in range(3, k_hi + 1) if spec.k is None else (spec.k,):
         for n in range(1, n_max + 1):
-            formula = ex_le_ck(n, 1).value
-            member = gen_transitive_tournament(n)
-            generator = laplacian_energy(member)
-            oracle, witness, missing, extra = _oracle_row(n, 2, "LE", [member], oracle_cap, jobs)
-            ok = generator == formula and (oracle in (None, formula)) and witness != WITNESS_MISMATCH
-            rows.append(ClaimRow(tag, n, 1, formula, generator, oracle, witness, ok, missing, extra))
-        return rows
+            formula = spec.formula(n, k).value
+            members = spec.members(n, k)
+            values = [spec.measure(g) for g in members]
+            oracle, witness, missing, extra = None, WITNESS_SKIPPED, (), ()
+            if n <= oracle_cap:
+                report = search_extremal(
+                    n, k + 1, spec.objective, jobs=jobs, allow_slow=oracle_cap >= ENUM_CAP
+                )
+                oracle = report.max_value
+                missing, extra = _witness_diff(report.witnesses, members)
+                witness = WITNESS_MISMATCH if missing or extra else WITNESS_OK
+            ok = set(values) == {formula} and (oracle in (None, formula)) and witness != WITNESS_MISMATCH
+            rows.append(ClaimRow(tag, n, k, formula, values[0], oracle, witness, ok, missing, extra))
+    return rows
 
-    if tag == "thm1.6":
-        for n in range(1, n_max + 1):
-            formula = ex_le_ck(n, 2).value
-            members = enumerate_bk01_members(n)
-            energies = {laplacian_energy(g) for g in members}
-            generator = laplacian_energy(members[0])
-            gen_ok = energies == {formula}
-            oracle, witness, missing, extra = _oracle_row(n, 3, "LE", members, oracle_cap, jobs)
-            ok = gen_ok and (oracle in (None, formula)) and witness != WITNESS_MISMATCH
-            rows.append(ClaimRow(tag, n, 2, formula, generator, oracle, witness, ok, missing, extra))
-        return rows
 
-    if tag == "lemma2.1":
-        for n in range(1, n_max + 1):
-            formula = ex_m1_c3(n).value
-            member = _fnk_extremal_member(n, 2)
-            generator = first_zagreb(member)
-            oracle, witness, missing, extra = _oracle_row(n, 3, "M1", [member], oracle_cap, jobs)
-            ok = generator == formula and (oracle in (None, formula)) and witness != WITNESS_MISMATCH
-            rows.append(ClaimRow(tag, n, k=2, formula=formula, generator=generator, oracle=oracle, witness=witness, ok=ok, missing=missing, extra=extra))
-        return rows
-
-    # lemma3.1: no oracle column; the ordering check is generator-side exact.
+def _ordering_rows(n_max: int, k_hi: int) -> list[ClaimRow]:
+    """lemma3.1: no oracle column; the ordering check is generator-side exact."""
+    rows: list[ClaimRow] = []
     for k in range(3, k_hi + 1):
         for n in range(k + 1, n_max + 1):
             if n % k == 0:
@@ -182,5 +172,5 @@ def _grid_rows(tag: str, n_max: int, k_hi: int, oracle_cap: int, jobs: int) -> l
                 generator = None
                 witness = WITNESS_MISMATCH
                 ok = False
-            rows.append(ClaimRow(tag, n, k, formula, generator, None, witness, ok))
+            rows.append(ClaimRow("lemma3.1", n, k, formula, generator, None, witness, ok))
     return rows

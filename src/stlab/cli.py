@@ -101,6 +101,9 @@ def _cmd_free(args: argparse.Namespace) -> int:
 
 def _cmd_formula(args: argparse.Namespace) -> int:
     if args.quantity == "ex_m1":
+        # ex_m1 is the k = 2 claim (no directed 3-cycle); another k would be ignored.
+        if args.k not in (None, 2):
+            raise ValueError(f"ex_m1 is defined for k = 2 only, got --k {args.k}")
         value = ex_m1_c3(args.n)
     else:
         if args.k is None:
@@ -155,10 +158,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             oracle = "skipped" if row.witness == "skipped" else "-"
         generator = "-" if row.generator is None else str(row.generator)
-        k = "-" if row.k is None else str(row.k)
         status = "PASS" if row.ok else "FAIL"
         print(
-            f"{row.tag:<9} {row.n:>3} {k:>3} {row.formula:>10} {generator:>10} "
+            f"{row.tag:<9} {row.n:>3} {row.k:>3} {row.formula:>10} {generator:>10} "
             f"{oracle:>8} {row.witness:>10}  {status}"
         )
     for row in rows:

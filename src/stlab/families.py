@@ -173,16 +173,21 @@ def gen_complete_digraph(n: int) -> Digraph:
 
 
 def spec_block_sizes(spec: FamilySpec) -> list[int]:
+    """Ordered block sizes of a spec's member; raises ValueError on a bad spec."""
     if spec.kind == "fnk":
         return fnk_block_sizes(spec.n, spec.k, spec.r_position)
     if spec.kind == "bk":
         _check_bk_parts(spec.parts)
+        if spec.n != sum(spec.parts):
+            raise ValueError(f"bk order n={spec.n} must equal the sum of parts {spec.parts}")
         return list(spec.parts)
+    if spec.kind not in ("tt", "kd"):
+        raise ValueError(f"unknown family kind {spec.kind!r}")
+    if spec.n < 1:
+        raise ValueError(f"order n must be >= 1, got {spec.n}")
     if spec.kind == "tt":
         return [1] * spec.n
-    if spec.kind == "kd":
-        return [spec.n]
-    raise ValueError(f"unknown family kind {spec.kind!r}")
+    return [spec.n]
 
 
 def family_blocks(spec: FamilySpec) -> list[tuple[int, int]]:
@@ -196,15 +201,8 @@ def family_blocks(spec: FamilySpec) -> list[tuple[int, int]]:
 
 
 def build_family(spec: FamilySpec) -> Digraph:
-    if spec.kind == "fnk":
-        return gen_fnk(spec.n, spec.k, spec.r_position)
-    if spec.kind == "bk":
-        return gen_bk(spec.parts)
-    if spec.kind == "tt":
-        return gen_transitive_tournament(spec.n)
-    if spec.kind == "kd":
-        return gen_complete_digraph(spec.n)
-    raise ValueError(f"unknown family kind {spec.kind!r}")
+    rows_for_block = _bipartite_rows if spec.kind == "bk" else _complete_rows
+    return _block_chain(spec_block_sizes(spec), rows_for_block)
 
 
 def parse_family_spec(text: str) -> FamilySpec:

@@ -1,6 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from stlab.claims import TAGS, verify_theorem
+from stlab.cli import main
+
+GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
 
 
 def test_tags_are_fixed():
@@ -62,3 +67,22 @@ def test_oracle_rows_skip_beyond_cap():
     assert marked[5] == marked[6] == marked[7] == "skipped"
     assert all(row.ok for row in rows)
     assert all(row.oracle is None for row in rows if row.n > 4)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "thm1.3", "--n-max", "64"),
+        ("verify", "thm1.4", "--n-max", "64"),
+        ("verify", "thm1.5", "--n-max", "64"),
+        ("verify", "lemma2.1", "--n-max", "64"),
+        ("verify", "lemma3.1", "--n-max", "64", "--k-max", "12"),
+        ("verify", "thm1.6", "--n-max", "24"),
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_verify_table_matches_golden(capsys, argv):
+    # The benchmark's golden tables pin every verdict, value and column.
+    golden = GOLDENS / ("-".join(arg.lstrip("-") for arg in argv) + ".txt")
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == golden.read_text()

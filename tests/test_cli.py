@@ -43,6 +43,10 @@ def test_gen_bad_spec_is_usage_error(capsys):
     assert code == 2
     assert "error:" in err
 
+    code, out, err = run(capsys, "gen", "tt:n=0")
+    assert (code, out) == (2, "")
+    assert "order n must be >= 1" in err
+
 
 def test_measure_spec(capsys):
     code, out, _ = run(capsys, "measure", "fnk:n=5,k=2,s=3")
@@ -104,6 +108,14 @@ def test_formula(capsys):
     assert payload["source"] == "thm1.6"
 
     code, out, _ = run(capsys, "formula", "--quantity", "ex_m1", "--n", "5")
+    assert json.loads(out)["value"] == 40
+
+    # ex_m1_c3 takes no k: it is the k = 2 claim, so only --k 2 is accepted.
+    code, out, err = run(capsys, "formula", "--quantity", "ex_m1", "--n", "5", "--k", "9")
+    assert (code, out) == (2, "")
+    assert "k = 2 only" in err
+    code, out, _ = run(capsys, "formula", "--quantity", "ex_m1", "--n", "5", "--k", "2")
+    assert code == 0
     assert json.loads(out)["value"] == 40
 
     code, _, err = run(capsys, "formula", "--quantity", "ex_le", "--n", "5")
@@ -180,6 +192,16 @@ def test_verify_empty_grid_is_usage_error(capsys, argv):
     assert code == 2
     assert "rows PASS" not in out
     assert "error: empty grid" in err
+
+
+def test_verify_n_max_beyond_vertex_cap_fails_fast(capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("rows computed before the cap check")
+
+    monkeypatch.setattr("stlab.claims.search_extremal", no_search)
+    code, out, err = run(capsys, "verify", "thm1.5", "--n-max", "65")
+    assert (code, out) == (2, "")
+    assert "n_max must be <= MAX_VERTICES = 64, got 65" in err
 
 
 def test_default_jobs_env(monkeypatch):

@@ -146,8 +146,25 @@ class TestSpecStrings:
             "bk:parts=3+3",
             "fnk:n=6,k=3,s=1",
             "tt:n=x",
+            "tt:n=0",
+            "kd:n=-2",
         ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_family_spec(text)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FamilySpec("tt", n=0),
+            FamilySpec("kd", n=-2),
+            FamilySpec("bk", n=99, parts=(4,)),
+            FamilySpec("bk", n=3, parts=(4,)),
+        ],
+    )
+    def test_spec_built_directly_is_validated(self, spec):
+        with pytest.raises(ValueError):
+            family_blocks(spec)
+        with pytest.raises(ValueError):
+            build_family(spec)
