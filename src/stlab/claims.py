@@ -25,10 +25,11 @@ oracle columns marked "skipped" and still pass on the formula/generator
 comparison.  lemma3.1 has no oracle; its rows run the ordering check.
 
 Caps: n_max is at most MAX_VERTICES (64), the largest bit-row Digraph.
-The oracle runs for n <= min(oracle_cap, ENUM_CAP); oracle_cap defaults to
-5 and ENUM_CAP (6) bounds the mask sweep.  Witness classes are compared by
-canonical form, which canonical_label computes up to ISO_CAP (10) vertices,
-so the oracle cap, not ISO_CAP, binds.
+The oracle runs for n <= min(oracle_cap, ISO_CAP): oracle_cap defaults to
+5, and ISO_CAP (10) bounds the search, whose levels and witness classes are
+keyed by canonical_label.  A larger oracle_cap is the caller's opt-in to
+the slower n >= 6 searches (search_extremal's allow_slow).  jobs is passed
+through and has no effect; the search runs in one process.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from stlab.families import enumerate_bk01_members, enumerate_fnk_members, gen_fn
 from stlab.formulas import ExactValue, ex_arcs_ck, ex_le_ck, ex_m1_c3
 from stlab.invariants import first_zagreb, laplacian_energy
 from stlab.majorization import verify_fnk_ordering
-from stlab.search import ENUM_CAP, CanonicalForm, canonical_label, search_extremal
+from stlab.search import ISO_CAP, CanonicalForm, canonical_label, search_extremal
 
 TAGS = ("thm1.3", "thm1.4", "thm1.5", "thm1.6", "lemma2.1", "lemma3.1")
 
@@ -126,7 +127,7 @@ def verify_theorem(
     if n_max > MAX_VERTICES:
         raise ValueError(f"n_max must be <= MAX_VERTICES = {MAX_VERTICES}, got {n_max}")
     k_hi = k_max if k_max is not None else 5
-    rows = _grid_rows(tag, n_max, k_hi, min(oracle_cap, ENUM_CAP), jobs)
+    rows = _grid_rows(tag, n_max, k_hi, min(oracle_cap, ISO_CAP), jobs)
     if not rows:
         raise ValueError(f"empty grid: {tag} has no rows with n <= {n_max} and k <= {k_hi}")
     return rows
@@ -144,9 +145,7 @@ def _grid_rows(tag: str, n_max: int, k_hi: int, oracle_cap: int, jobs: int) -> l
             values = [spec.measure(g) for g in members]
             oracle, witness, missing, extra = None, WITNESS_SKIPPED, (), ()
             if n <= oracle_cap:
-                report = search_extremal(
-                    n, k + 1, spec.objective, jobs=jobs, allow_slow=oracle_cap >= ENUM_CAP
-                )
+                report = search_extremal(n, k + 1, spec.objective, jobs=jobs, allow_slow=True)
                 oracle = report.max_value
                 missing, extra = _witness_diff(report.witnesses, members)
                 witness = WITNESS_MISMATCH if missing or extra else WITNESS_OK

@@ -2,7 +2,8 @@
 
 Subcommands: gen, measure, free, formula, search, verify.  Exit codes are
 stable for CI: 0 success/PASS, 1 verification failure, 2 usage error.
-STL_JOBS provides the default worker count for --jobs.
+STL_JOBS provides the default for --jobs, which is checked (>= 1) but has no
+effect: the search oracle runs in one process.
 """
 
 from __future__ import annotations
@@ -205,8 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid-cycle", type=int, required=True, metavar="L")
     p.add_argument("--objective", choices=("le", "m1", "arcs"), required=True)
     p.add_argument("--connected-only", action="store_true")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
-    p.add_argument("--allow-slow", action="store_true", help="enable the 2^30-mask n=6 sweep")
+    p.add_argument("--jobs", type=int, default=_default_jobs(), help="must be >= 1; has no effect")
+    p.add_argument("--allow-slow", action="store_true", help="enable n >= 6, whose cost grows steeply with n")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(fn=_cmd_search)
 
@@ -215,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=5)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--oracle-cap", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=_default_jobs(), help="must be >= 1; has no effect")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

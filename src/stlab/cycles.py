@@ -7,6 +7,10 @@ of the would-be cycle, so each cycle is traversed exactly once.  Two exact
 prunes keep dense-but-free instances tractable: a cycle lives entirely
 inside one strongly connected component, and a partial path is abandoned
 as soon as the shortest way back to the anchor exceeds the arcs left.
+
+path_ends gives, per vertex, where the simple paths of an exact arc count
+from it end; the search oracle uses it to keep one-vertex extensions
+C_len-free.
 """
 
 from __future__ import annotations
@@ -120,6 +124,35 @@ def find_cycle_of_length(g: Digraph, length: int) -> CycleWitness | None:
             if witness is not None:
                 return CycleWitness(witness)
     return None
+
+
+def path_ends(g: Digraph, arcs: int) -> list[int]:
+    """Bitmask per vertex u of the vertices where a simple path of exactly ``arcs`` arcs from u ends.
+
+    A path of 0 arcs ends where it starts.  Paths grow one arc at a time as
+    states (visited set, end vertex), kept as one bitmask of end vertices
+    per visited set, so paths over the same vertices to the same end are
+    followed once.  A new vertex sending arcs to O and receiving arcs from I
+    closes a cycle of length arcs + 2 exactly when some u in O has an end in I.
+    """
+    if arcs < 0:
+        raise ValueError(f"path length must be >= 0, got {arcs}")
+    ends = []
+    for start in range(g.n):
+        layer = {1 << start: 1 << start}
+        for _ in range(arcs):
+            grown: dict[int, int] = {}
+            for used, here in layer.items():
+                for v in _iter_bits(here):
+                    for w in _iter_bits(g.rows[v] & ~used):
+                        key = used | 1 << w
+                        grown[key] = grown.get(key, 0) | 1 << w
+            layer = grown
+        reached = 0
+        for here in layer.values():
+            reached |= here
+        ends.append(reached)
+    return ends
 
 
 def is_ck_free(g: Digraph, cycle_len: int) -> bool:

@@ -1,25 +1,37 @@
-"""Brute-force enumeration oracle over all digraphs of small order.
+"""Exhaustive extremal search over all digraphs of small order.
 
-Every loop-free digraph on n labelled vertices is one integer mask over
-the n(n-1) ordered pairs, taken in row-major order skipping the diagonal
-(bit u*(n-1) + (v if v < u else v - 1) is the arc (u, v)), so row u of
-the adjacency matrix is the bit group [u*(n-1), (u+1)*(n-1)).
+search_extremal finds the exact maximum of an objective (Laplacian energy
+LE, First Zagreb index M1 or arc count ARCS) over the C_L-free digraphs on
+n vertices, with every isomorphism class attaining it, by a threshold
+descent.  Summed over the m one-vertex deletions G - v of a digraph G on m
+vertices, the objectives obey exact identities: ARCS sums to (m-2)e, M1 to
+(m-3)M1 + e and LE to (m-3)LE + e + c2.  With M1 <= (m-1)e and LE <= m*e,
+a value of at least T makes the sum at least (m-2)T, (m-3)T + ceil(T/(m-1))
+or (m-3)T + ceil(T/m), so some deletion keeps at least T_{m-1} = ceil(sum/m)
+(the averaging argument of Katona, Nemetz and Simonovits, 1964); M1 and LE
+use T = 0 below m = 3.  Being C_L-free is hereditary, so level m, every
+C_L-free digraph on m vertices with value >= T_m up to isomorphism, grows
+from level m-1 by one-vertex extensions.  The new vertex sends arcs to a
+set O and receives arcs from a set I; it closes a C_L exactly when a simple
+path of L-2 arcs runs from O to I (cycles.path_ends), so I ranges over the
+subsets of the vertices those paths miss.  Every objective grows with arcs,
+so an O whose largest allowed I falls short of T_m is skipped.  Each level
+is deduplicated by canonical form (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998).
 
-The mask space is cut into fixed 2^18-mask chunks regardless of worker
-count.  Each chunk is swept by a row-split kernel: the chunk is a grid of
-low x high halves cut at a row boundary (2^8 x 2^10 masks at n = 5,
-2^10 x 2^8 at n = 6).  Outdegrees, digons and forbidden cycles that lie
-inside one half are evaluated on that half alone and combined as an
-outer sum; only digons and cycles that cross the split need an outer AND,
-and crossing cycles are grouped by their low part so each group costs one.
-Everything is small-integer numpy arithmetic, so the sweep is exact.
+T_n is the best value among family members that find_cycle_of_length
+confirms C_L-free and that meet the scope: the transitive tournament, K_n
+when L > n, the fnk chains with k = L-1 and, for L = 3, the bk01 chains.
+Any such lower bound keeps the descent exact, and none is a closed form, so
+the oracle stays independent of the claims it checks.  connected_only
+filters the top level; every seed is connected.  The cost grows with the
+number of classes above the thresholds, not with the 2^(n(n-1)) labelled
+digraphs the answer is exact over.
 
-Each chunk reduces to (local max, attaining masks), and the merge takes
-the global max and unions the witnesses, so reports are identical for any
-number of workers.  Witnesses are deduplicated up to isomorphism with
-orbit pruning: one pending witness is canonically labelled and all n!
-relabellings of it leave the pending set, so canonical labelling runs
-once per isomorphism class.
+Every loop-free digraph on n labelled vertices is also one integer mask
+over the n(n-1) ordered pairs, taken in row-major order skipping the
+diagonal (bit u*(n-1) + (v if v < u else v - 1) is the arc (u, v));
+enumerate_digraphs walks all of them.
 
 The canonical label is the minimum row serialization over all vertex
 relabellings compatible with iterated (outdegree, indegree) colour
@@ -45,19 +57,25 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Iterator
 
-import numpy as np
-
+from stlab.cycles import find_cycle_of_length, path_ends
 from stlab.digraph import Digraph, _iter_bits, is_weakly_connected
+from stlab.families import (
+    enumerate_bk01_members,
+    enumerate_fnk_members,
+    gen_complete_digraph,
+    gen_transitive_tournament,
+)
+from stlab.invariants import first_zagreb, laplacian_energy
 
 ENUM_CAP = 6
 ISO_CAP = 10
-CHUNK_BITS = 18
 OBJECTIVES = ("LE", "M1", "ARCS")
 SCOPES = ("all", "connected_only")
+_MEASURES: dict[str, Callable[[Digraph], int]] = {"LE": laplacian_energy, "M1": first_zagreb, "ARCS": lambda g: g.e}
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +119,6 @@ def enumerate_digraphs(n: int):
 
 
 @lru_cache(maxsize=None)
-def _pair_images(n: int) -> tuple[tuple[int, ...], ...]:
-    """For every vertex permutation, the bit each pair index maps to."""
-    pairs = pair_order(n)
-    return tuple(
-        tuple(pair_index(n, perm[u], perm[v]) for u, v in pairs)
-        for perm in itertools.permutations(range(n))
-    )
-
-
-@lru_cache(maxsize=None)
 def cycle_arc_masks(n: int, length: int) -> tuple[int, ...]:
     """Arc masks of every directed cycle of exactly ``length`` on n vertices.
 
@@ -131,113 +139,72 @@ def cycle_arc_masks(n: int, length: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized sweep
+# Threshold descent
 
 
-@lru_cache(maxsize=None)
-def _pop_table(bits: int) -> np.ndarray:
-    return np.array([v.bit_count() for v in range(1 << bits)], dtype=np.int64)
+def _threshold_below(objective: str, m: int, t: int) -> int:
+    """T_{m-1} from T_m = t: some deletion of a digraph on m vertices with value >= t keeps this much."""
+    if objective == "ARCS":
+        total = (m - 2) * t
+    elif m - 1 < 3:
+        return 0
+    elif objective == "M1":
+        total = (m - 3) * t - (-t // (m - 1))
+    else:
+        total = (m - 3) * t - (-t // m)
+    return -(-total // m)
 
 
-@lru_cache(maxsize=None)
-def _split_cycles(n: int, length: int, low_rows: int) -> tuple[tuple, tuple, tuple]:
-    """Arc masks of the length-cycles, sorted by the halves of a row split.
-
-    Rows below low_rows form the low half of a mask, the rest the high half.
-    Returns (cycles inside the low half, cycles inside the high half,
-    crossing cycles), the crossing ones cut into their low and high parts
-    and grouped as (low part, high parts).
-    """
-    low_mask = (1 << (low_rows * (n - 1))) - 1
-    low, high, crossing = [], [], {}
-    for cm in cycle_arc_masks(n, length):
-        if not cm & ~low_mask:
-            low.append(cm)
-        elif not cm & low_mask:
-            high.append(cm)
-        else:
-            crossing.setdefault(cm & low_mask, []).append(cm & ~low_mask)
-    return tuple(low), tuple(high), tuple((part, tuple(rest)) for part, rest in crossing.items())
-
-
-def _contains(masks: np.ndarray, arc_mask: int) -> np.ndarray:
-    return (masks & arc_mask) == arc_mask
-
-
-def _contains_any(masks: np.ndarray, arc_masks: tuple[int, ...]) -> np.ndarray:
-    hit = np.zeros(masks.shape, dtype=bool)
-    for am in arc_masks:
-        hit |= _contains(masks, am)
-    return hit
-
-
-def _twice(masks: np.ndarray, arc_mask: int) -> np.ndarray:
-    return 2 * _contains(masks, arc_mask).astype(np.int16)
-
-
-def _half_values(masks: np.ndarray, n: int, rows: range, digons: tuple, objective: str) -> np.ndarray:
-    """Objective terms that depend on one half only: its rows and digons."""
-    w = n - 1
-    pop = _pop_table(w)
-    values = np.zeros(masks.shape, dtype=np.int64)
-    for u in rows:
-        deg = pop[(masks >> (u * w)) & ((1 << w) - 1)]
-        values += deg if objective == "ARCS" else deg * deg
-    if objective == "LE":
-        for dm in digons:
-            values += 2 * _contains(masks, dm)
-    # Every value is at most n(n-1)^2 + n(n-1) <= 180, so int16 is exact.
-    return values.astype(np.int16)
-
-
-def _scan_chunk(args: tuple) -> tuple[int | None, list[int], int]:
-    """Reduce one aligned power-of-two mask range to (local max, attaining masks, count).
-
-    The range is split at a row boundary into a grid of high x low halves,
-    mask = lo + (h << low_bits) + l.  Outdegrees, digons and cycles inside
-    one half are evaluated on that half alone; only crossing digons and
-    crossing cycles need an outer operation over the whole grid.
-    """
-    n, lo, hi, forbidden_len, objective, connected_only = args
-    searched = hi - lo
-    w = n - 1
-    # Split at the row boundary nearest the middle of the range's bits.
-    low_rows = ((searched.bit_length() - 1) // w + 1) // 2 if w else 0
-    low_bits = low_rows * w
-    low = np.arange(1 << low_bits, dtype=np.int64)
-    high = lo + (np.arange(searched >> low_bits, dtype=np.int64) << low_bits)
-
-    low_cycles, high_cycles, crossing = _split_cycles(n, forbidden_len, low_rows)
-    dead = _contains_any(high, high_cycles)[:, None] | _contains_any(low, low_cycles)
-    for low_part, high_parts in crossing:
-        dead |= _contains_any(high, high_parts)[:, None] & _contains(low, low_part)
-    if dead.all():
-        return (None, [], searched)
-
-    low_digons, high_digons, crossing = _split_cycles(n, 2, low_rows)
-    values = (
-        _half_values(high, n, range(low_rows, n), high_digons, objective)[:, None]
-        + _half_values(low, n, range(low_rows), low_digons, objective)
+def _seed_value(n: int, length: int, measure: Callable[[Digraph], int], connected_only: bool) -> int:
+    """Best value among family members confirmed C_length-free: a lower bound on the maximum."""
+    seeds = [gen_transitive_tournament(n)]
+    if length > n:
+        seeds.append(gen_complete_digraph(n))
+    if length - 1 <= n:
+        seeds += enumerate_fnk_members(n, length - 1)
+    if length == 3:
+        seeds += enumerate_bk01_members(n)
+    return max(
+        measure(g)
+        for g in seeds
+        if find_cycle_of_length(g, length) is None and (is_weakly_connected(g) or not connected_only)
     )
-    if objective == "LE":
-        # Each half marks its arc of a crossing digon as 0 or 2; the AND adds 2.
-        for low_part, (high_part,) in crossing:
-            values += _twice(high, high_part)[:, None] & _twice(low, low_part)
 
-    # Score free masks value + 1 and the rest 0, then walk the distinct
-    # scores downwards; only connected_only ever goes past the first.
-    scored = ((values + 1) * ~dead).ravel()
-    while (top := int(scored.max())) > 0:
-        hits = np.flatnonzero(scored == top)
-        good = [
-            int(i) + lo
-            for i in hits
-            if not connected_only or is_weakly_connected(digraph_from_mask(n, int(i) + lo))
-        ]
-        if good:
-            return (top - 1, good, searched)
-        scored[hits] = 0
-    return (None, [], searched)
+
+def _extensions(g: Digraph, length: int, objective: str, threshold: int) -> Iterator[Digraph]:
+    """Every C_length-free one-vertex extension of g whose value reaches threshold.
+
+    The new vertex n = g.n sends arcs to O and receives arcs from I.  Its
+    value is g's plus the gain of O (|O|, or |O|^2 as the new outdegree
+    squared), plus a per-vertex gain over I (1, or 2d + 1 as an outdegree d
+    grows by one), plus 2 per digon with O for LE.
+    """
+    n = g.n
+    ends = path_ends(g, length - 2)
+    step = [1 if objective == "ARCS" else 2 * row.bit_count() + 1 for row in g.rows]
+    digon = 2 if objective == "LE" else 0
+    # Per subset S of the old vertices: the gain of I = S, and the vertices
+    # that paths from O = S reach, which I must avoid.
+    gain, blocked = [0] * (1 << n), [0] * (1 << n)
+    for subset in range(1, 1 << n):
+        low = subset & -subset
+        v = low.bit_length() - 1
+        gain[subset] = gain[subset ^ low] + step[v]
+        blocked[subset] = blocked[subset ^ low] | ends[v]
+    base = _MEASURES[objective](g)
+    for out in range(1 << n):
+        size = out.bit_count()
+        need = threshold - base - (size if objective == "ARCS" else size * size)
+        allowed = ((1 << n) - 1) & ~blocked[out]
+        if gain[allowed] + digon * (allowed & out).bit_count() < need:
+            continue
+        into = allowed
+        while True:
+            if gain[into] + digon * (into & out).bit_count() >= need:
+                yield Digraph(n + 1, tuple(row | (into >> u & 1) << n for u, row in enumerate(g.rows)) + (out,))
+            if not into:
+                break
+            into = (into - 1) & allowed
 
 
 @dataclass(frozen=True)
@@ -246,8 +213,9 @@ class ExtremalSearchReport:
 
     Witnesses are the canonical representatives of every isomorphism class
     attaining the maximum, sorted by canonical bytes, so reports are fully
-    deterministic.  elapsed_ms is wall-clock bookkeeping only and is kept
-    out of the canonical JSON rendering.
+    deterministic.  searched_count is 2^(n(n-1)), the number of labelled
+    digraphs the answer is exact over.  elapsed_ms is wall-clock
+    bookkeeping only and is kept out of the canonical JSON rendering.
     """
 
     n: int
@@ -272,7 +240,9 @@ def search_extremal(
 
     objective is one of LE, M1, ARCS (case-insensitive); scope "all" or
     "connected_only".  forbidden_len may exceed n, in which case nothing is
-    excluded.  n = 6 sweeps 2^30 masks and must be enabled with allow_slow.
+    excluded.  n is capped at ISO_CAP, and n >= 6 must be enabled with
+    allow_slow.  jobs is validated and otherwise ignored: the descent runs
+    in one process.
     """
     obj = str(objective).upper()
     if obj not in OBJECTIVES:
@@ -281,63 +251,45 @@ def search_extremal(
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
     if forbidden_len < 2:
         raise ValueError(f"forbidden cycle length must be >= 2, got {forbidden_len}")
-    if not 1 <= n <= ENUM_CAP:
-        raise ValueError(f"search is capped at n <= {ENUM_CAP}, got {n}")
-    if n == ENUM_CAP and not allow_slow:
-        raise ValueError("n=6 sweeps 2^30 masks; enable it explicitly with allow_slow")
+    if not 1 <= n <= ISO_CAP:
+        raise ValueError(f"search is capped at n <= {ISO_CAP}, got {n}")
+    if n >= 6 and not allow_slow:
+        raise ValueError(
+            f"n={n} builds every isomorphism class above the descent thresholds, a count that "
+            "grows steeply with n (n=8, L=2, ARCS builds all 6,880 tournament classes in about 8 s); "
+            "enable it explicitly with allow_slow (--allow-slow)"
+        )
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
     start = time.perf_counter()
-    total = 1 << (n * (n - 1))
-    step = 1 << CHUNK_BITS
-    tasks = [
-        (n, lo, min(lo + step, total), forbidden_len, obj, scope == "connected_only")
-        for lo in range(0, total, step)
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_scan_chunk, tasks))
-    else:
-        results = [_scan_chunk(task) for task in tasks]
+    measure = _MEASURES[obj]
+    connected_only = scope == "connected_only"
+    thresholds = {n: _seed_value(n, forbidden_len, measure, connected_only)}
+    for m in range(n, 1, -1):
+        thresholds[m - 1] = _threshold_below(obj, m, thresholds[m])
 
-    best: int | None = None
-    witness_masks: list[int] = []
-    searched = 0
-    for local_max, local_masks, count in results:
-        searched += count
-        if local_max is None:
-            continue
-        if best is None or local_max > best:
-            best = local_max
-            witness_masks = list(local_masks)
-        elif local_max == best:
-            witness_masks.extend(local_masks)
-    if best is None:
-        raise RuntimeError("no digraph satisfied the scope; this should be impossible")
+    single = Digraph(1, (0,))
+    level = {canonical_label(single).data: single}
+    for m in range(2, n + 1):
+        grown: dict[bytes, Digraph] = {}
+        for g in level.values():
+            for h in _extensions(g, forbidden_len, obj, thresholds[m]):
+                grown.setdefault(canonical_label(h).data, h)
+        level = grown
 
-    # Orbit pruning: canonicalise one pending witness, then drop its n!
-    # relabellings, so canonical_label runs once per isomorphism class.
-    unique: dict[bytes, CanonicalForm] = {}
-    pending = set(witness_masks)
-    for mask in witness_masks:
-        if mask not in pending:
-            continue
-        form = canonical_label(digraph_from_mask(n, mask))
-        unique[form.data] = form
-        arcs = [i for i in range(n * (n - 1)) if mask >> i & 1]
-        for image in _pair_images(n):
-            pending.discard(sum(1 << image[i] for i in arcs))
-    witnesses = tuple(unique[data].to_digraph() for data in sorted(unique))
+    values = {data: measure(g) for data, g in level.items() if not connected_only or is_weakly_connected(g)}
+    best = max(values.values())
+    witnesses = tuple(CanonicalForm(data).to_digraph() for data in sorted(values) if values[data] == best)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return ExtremalSearchReport(
         n=n,
         forbidden_len=forbidden_len,
         objective=obj,
         scope=scope,
-        max_value=int(best),
+        max_value=best,
         witnesses=witnesses,
-        searched_count=searched,
+        searched_count=1 << (n * (n - 1)),
         elapsed_ms=elapsed_ms,
     )
 

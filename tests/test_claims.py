@@ -69,6 +69,13 @@ def test_oracle_rows_skip_beyond_cap():
     assert all(row.oracle is None for row in rows if row.n > 4)
 
 
+@pytest.mark.parametrize("tag", ["thm1.3", "thm1.4", "thm1.5", "thm1.6", "lemma2.1"])
+def test_oracle_runs_every_row_to_n8(tag):
+    rows = verify_theorem(tag, 8, k_max=5, oracle_cap=8)
+    assert all(row.ok for row in rows)
+    assert not [row for row in rows if row.n <= 8 and (row.oracle is None or row.witness == "skipped")]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

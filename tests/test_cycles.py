@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from stlab.cycles import find_cycle_of_length, is_ck_free
-from stlab.digraph import build_digraph, digon_count, permute
+from stlab.cycles import find_cycle_of_length, is_ck_free, path_ends
+from stlab.digraph import Digraph, build_digraph, digon_count, permute
 from stlab.families import gen_bk, gen_complete_digraph, gen_fnk, gen_transitive_tournament
 from stlab.search import enumerate_digraphs
 
@@ -93,3 +94,37 @@ def test_family_freeness_small():
             assert is_ck_free(gen_bk(parts), 3)
     for n in range(2, 10):
         assert is_ck_free(gen_transitive_tournament(n), 2)
+
+
+def test_path_ends_against_every_vertex_sequence():
+    rng = random.Random(67)
+    for _ in range(60):
+        g = random_digraph(rng, rng.randint(1, 6), rng.choice((0.3, 0.6, 0.9)))
+        for arcs in range(g.n + 1):
+            want = [0] * g.n
+            for seq in itertools.permutations(range(g.n), arcs + 1):
+                if all(g.has_arc(u, v) for u, v in zip(seq, seq[1:])):
+                    want[seq[0]] |= 1 << seq[-1]
+            assert path_ends(g, arcs) == want, (g, arcs)
+    with pytest.raises(ValueError, match="path length"):
+        path_ends(DIGON, -1)
+
+
+def test_path_ends_decide_extension_freeness():
+    # A new vertex with out-set O and in-set I keeps a C_L-free digraph free
+    # iff no simple path of L - 2 arcs runs from O to I.
+    rng = random.Random(71)
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        length = rng.randint(2, n + 2)
+        g = random_digraph(rng, n, rng.choice((0.2, 0.4, 0.6)))
+        if find_cycle_of_length(g, length) is not None:
+            continue
+        out, into = rng.getrandbits(n), rng.getrandbits(n)
+        ends = path_ends(g, length - 2)
+        closes = any(out >> u & 1 and ends[u] & into for u in range(n))
+        h = Digraph(n + 1, tuple(row | (into >> u & 1) << n for u, row in enumerate(g.rows)) + (out,))
+        assert (find_cycle_of_length(h, length) is not None) == closes, (g, out, into, length)
+        verdicts.add(closes)
+    assert verdicts == {True, False}

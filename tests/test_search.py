@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +14,13 @@ from stlab.families import (
     gen_fnk,
     gen_transitive_tournament,
 )
-from stlab.invariants import first_zagreb, laplacian_energy
+from stlab.cli import main
+from stlab.invariants import c2, first_zagreb, laplacian_energy
 from stlab.search import (
+    ISO_CAP,
     OBJECTIVES,
-    _scan_chunk,
+    SCOPES,
+    _threshold_below,
     are_isomorphic,
     canonical_label,
     cycle_arc_masks,
@@ -30,6 +34,7 @@ from stlab.serialize import dumps, report_json
 
 from conftest import random_digraph
 
+GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
 DIGON = build_digraph(2, [(0, 1), (1, 0)])
 
 
@@ -79,10 +84,10 @@ def _reference_canonical_bytes(g):
     return bytes([g.n]) + b"".join(row.to_bytes(2, "big") for row in best)
 
 
-def _reference_scan(n, lo, hi):
-    """Plain per-mask sweep: every (L, objective, scope) result of one range."""
+def _reference_scan(n):
+    """Plain per-mask sweep: every (L, objective, scope) result over all digraphs on n vertices."""
     rows = []
-    for mask in range(lo, hi):
+    for mask in range(1 << (n * (n - 1))):
         g = digraph_from_mask(n, mask)
         free = {length: is_ck_free(g, length) for length in range(2, n + 2)}
         values = {"LE": laplacian_energy(g), "M1": first_zagreb(g), "ARCS": g.e}
@@ -99,14 +104,13 @@ def _reference_scan(n, lo, hi):
                         best, hits = values[objective], [mask]
                     elif values[objective] == best:
                         hits.append(mask)
-                results[length, objective, connected_only] = (best, hits, hi - lo)
+                results[length, objective, connected_only] = (best, hits, len(rows))
     return results
 
 
-def _assert_kernel_matches_reference(n, lo, hi):
-    for (length, objective, connected_only), want in _reference_scan(n, lo, hi).items():
-        got = _scan_chunk((n, lo, hi, length, objective, connected_only))
-        assert got == want, (n, lo, length, objective, connected_only)
+def _delete_vertex(g, v):
+    low = (1 << v) - 1
+    return Digraph(g.n - 1, tuple((row & low) | (row >> (v + 1)) << v for u, row in enumerate(g.rows) if u != v))
 
 
 class TestMaskEncoding:
@@ -140,22 +144,84 @@ class TestMaskEncoding:
 
 
 class TestSweepKernel:
-    """The row-split kernel against an independent per-mask reference."""
+    """Whole search reports against an independent per-mask reference."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_whole_sweep(self, n):
-        _assert_kernel_matches_reference(n, 0, 1 << (n * (n - 1)))
+        for (length, objective, connected_only), (best, hits, count) in _reference_scan(n).items():
+            report = search_extremal(n, length, objective, scope=SCOPES[connected_only])
+            want = sorted({canonical_label(digraph_from_mask(n, mask)).data for mask in hits})
+            got = [canonical_label(w).data for w in report.witnesses]
+            assert (report.max_value, got, report.searched_count) == (best, want, count), (
+                n, length, objective, connected_only
+            )
 
-    @pytest.mark.parametrize("n", [5, 6])
-    def test_aligned_subranges_with_fixed_high_rows(self, n):
-        # 2^10-mask ranges split after row 0; the bits above each range are
-        # random and nonzero, so fixed rows, crossing cycles and crossing
-        # digons all occur.
-        rng = random.Random(41 + n)
-        size = 1 << 10
-        for _ in range(3):
-            lo = rng.randrange(1, 1 << (n * (n - 1) - 10)) * size
-            _assert_kernel_matches_reference(n, lo, lo + size)
+
+class TestDescentPremises:
+    """The deletion identities and bounds the threshold chain rests on, by brute force."""
+
+    @staticmethod
+    def _check(g):
+        m, e = g.n, g.e
+        values = {"ARCS": e, "M1": first_zagreb(g), "LE": laplacian_energy(g)}
+        deleted = [_delete_vertex(g, v) for v in range(m)]
+        below = {
+            "ARCS": [h.e for h in deleted],
+            "M1": [first_zagreb(h) for h in deleted],
+            "LE": [laplacian_energy(h) for h in deleted],
+        }
+        assert sum(below["ARCS"]) == (m - 2) * e
+        assert sum(below["M1"]) == (m - 3) * values["M1"] + e
+        assert sum(below["LE"]) == (m - 3) * values["LE"] + e + c2(g)
+        assert values["M1"] <= (m - 1) * e and values["LE"] <= m * e
+        for objective, value in values.items():
+            assert max(below[objective]) >= _threshold_below(objective, m, value), (g, objective)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_digraph(self, n):
+        for g in enumerate_digraphs(n):
+            self._check(g)
+
+    def test_random_digraphs(self):
+        rng = random.Random(59)
+        for _ in range(300):
+            self._check(random_digraph(rng, rng.randint(2, 10), rng.choice((0.2, 0.5, 0.8, 1.0))))
+
+
+N6_TABLE = {  # forbidden length: (max, classes) for LE, M1, ARCS; equal for both scopes
+    2: ((55, 1), (55, 1), (15, 56)),
+    3: ((76, 3), (70, 1), (18, 4)),
+    4: ((99, 1), (87, 1), (21, 1)),
+    5: ((116, 1), (102, 1), (22, 2)),
+    6: ((145, 1), (125, 1), (25, 2)),
+    7: ((180, 1), (150, 1), (30, 1)),
+}
+
+
+@pytest.mark.parametrize("length", sorted(N6_TABLE))
+def test_n6_maxima_and_class_counts(length):
+    # Measured by the exhaustive 2^30-mask sweep that preceded the descent.
+    for objective, want in zip(OBJECTIVES, N6_TABLE[length]):
+        for scope in SCOPES:
+            report = search_extremal(6, length, objective, scope=scope, allow_slow=True)
+            assert (report.max_value, len(report.witnesses)) == want, (objective, scope)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--n", "5", "--forbid-cycle", str(length), "--objective", objective) + scope
+        for length in range(2, 7)
+        for objective in ("le", "m1", "arcs")
+        for scope in ((), ("--connected-only",))
+    ],
+    ids=lambda argv: "-".join(argv[3:]).replace("--", ""),
+)
+def test_search_report_matches_golden(tmp_path, argv):
+    # The benchmark's golden reports pin every maximum and witness byte.
+    name = "-".join(arg.lstrip("-") for arg in argv) + ".json"
+    assert main(list(argv) + ["--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / name).read_text() == (GOLDENS / name).read_text()
 
 
 class TestIsomorphism:
@@ -377,15 +443,11 @@ class TestSearch:
         report = search_extremal(3, 2, "LE", scope="connected_only")
         assert all(is_weakly_connected(w) for w in report.witnesses)
 
-    def test_dedup_canonicalises_once_per_class(self, monkeypatch):
-        # all 2^10 labelled tournaments on 5 vertices attain the maximum
-        calls = []
-        monkeypatch.setattr(
-            "stlab.search.canonical_label", lambda g: calls.append(g) or canonical_label(g)
-        )
+    def test_dedup_canonicalises_once_per_class(self):
+        # all 2^10 labelled tournaments on 5 vertices attain the maximum: one witness per class
         report = search_extremal(5, 2, "ARCS")
         assert report.max_value == 10
-        assert len(report.witnesses) == len(calls) == 12
+        assert len(report.witnesses) == 12
 
     def test_worker_count_does_not_change_report(self):
         solo = dumps(report_json(search_extremal(5, 3, "M1", jobs=1)))
@@ -400,7 +462,7 @@ class TestSearch:
         with pytest.raises(ValueError, match="forbidden"):
             search_extremal(3, 1, "LE")
         with pytest.raises(ValueError, match="capped"):
-            search_extremal(7, 3, "LE")
+            search_extremal(ISO_CAP + 1, 3, "LE")
         with pytest.raises(ValueError, match="allow_slow"):
             search_extremal(6, 3, "LE")
         with pytest.raises(ValueError, match="jobs"):
