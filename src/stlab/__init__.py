@@ -8,6 +8,7 @@ from stlab.digraph import (
     Digraph,
     build_digraph,
     digon_count,
+    in_rows,
     is_weakly_connected,
     out_degree_sequence,
     permute,

@@ -7,6 +7,11 @@ of the would-be cycle, so each cycle is traversed exactly once.  Two exact
 prunes keep dense-but-free instances tractable: a cycle lives entirely
 inside one strongly connected component, and a partial path is abandoned
 as soon as the shortest way back to the anchor exceeds the arcs left.
+Both prunes read the in-neighbour rows that digraph.in_rows unpacks from
+one packed block-swap transpose per call: components are bitset closures
+forward along the rows and backward along the in-rows, and the return
+distances are a bitset BFS from the anchor along the in-rows, one OR per
+vertex reached.
 
 path_ends gives, per vertex, where the simple paths of an exact arc count
 from it end; the search oracle uses it to keep one-vertex extensions
@@ -16,8 +21,9 @@ C_len-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from stlab.digraph import Digraph, _iter_bits
+from stlab.digraph import Digraph, _closure, _iter_bits, in_rows
 
 
 @dataclass(frozen=True)
@@ -31,56 +37,42 @@ class CycleWitness:
         return [(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq))]
 
 
-def _closure(rows: list[int], start: int) -> int:
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        grown = 0
-        for u in _iter_bits(frontier):
-            grown |= rows[u]
-        frontier = grown & ~seen
-        seen |= frontier
-    return seen
+def _strong_components(g: Digraph, into: Sequence[int]) -> list[int]:
+    """Bitmasks of the strongly connected components, ordered by least vertex.
 
-
-def _strong_components(g: Digraph) -> list[int]:
-    """Bitmasks of the strongly connected components, ordered by least vertex."""
-    fwd = list(g.rows)
-    bwd = [0] * g.n
-    for u in range(g.n):
-        for v in _iter_bits(g.rows[u]):
-            bwd[v] |= 1 << u
+    A component holds no vertex of an earlier one, so the forward closure
+    stays among unassigned vertices and the backward one inside it.
+    """
     comps = []
     unassigned = (1 << g.n) - 1
     while unassigned:
         v = (unassigned & -unassigned).bit_length() - 1
-        comp = _closure(fwd, v) & _closure(bwd, v)
+        comp = _closure(into, v, _closure(g.rows, v, unassigned))
         comps.append(comp)
         unassigned &= ~comp
     return comps
 
 
-def _distances_to(g: Digraph, anchor: int, allowed: int) -> list[int]:
+def _distances_to(into: Sequence[int], anchor: int, allowed: int) -> list[int]:
     """Shortest arc-count from each allowed vertex to the anchor, inf = n + 1."""
-    inf = g.n + 1
-    dist = [inf] * g.n
+    dist = [len(into) + 1] * len(into)
     dist[anchor] = 0
-    frontier = [anchor]
+    seen = frontier = 1 << anchor
     step = 0
     while frontier:
         step += 1
-        grown = []
-        for x in frontier:
-            for u in _iter_bits(allowed):
-                if dist[u] > step and g.rows[u] >> x & 1:
-                    dist[u] = step
-                    grown.append(u)
-        frontier = grown
+        grown = 0
+        for x in _iter_bits(frontier):
+            grown |= into[x]
+        frontier = grown & allowed & ~seen
+        seen |= frontier
+        for u in _iter_bits(frontier):
+            dist[u] = step
     return dist
 
 
-def _search_anchor(g: Digraph, anchor: int, allowed: int, length: int) -> tuple[int, ...] | None:
-    dist = _distances_to(g, anchor, allowed)
+def _search_anchor(g: Digraph, into: Sequence[int], anchor: int, allowed: int, length: int) -> tuple[int, ...] | None:
+    dist = _distances_to(into, anchor, allowed)
     path = [anchor]
     used = 1 << anchor
 
@@ -112,7 +104,8 @@ def find_cycle_of_length(g: Digraph, length: int) -> CycleWitness | None:
     """
     if length < 2:
         raise ValueError(f"cycle length must be >= 2, got {length}")
-    for comp in _strong_components(g):
+    into = in_rows(g)
+    for comp in _strong_components(g, into):
         if comp.bit_count() < length:
             continue
         members = list(_iter_bits(comp))
@@ -120,7 +113,7 @@ def find_cycle_of_length(g: Digraph, length: int) -> CycleWitness | None:
             if len(members) - i < length:
                 break
             above = comp & ~((2 << anchor) - 1)  # component vertices > anchor
-            witness = _search_anchor(g, anchor, above, length)
+            witness = _search_anchor(g, into, anchor, above, length)
             if witness is not None:
                 return CycleWitness(witness)
     return None

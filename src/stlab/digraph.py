@@ -23,6 +23,19 @@ def _iter_bits(word: int) -> Iterator[int]:
         word ^= low
 
 
+def _closure(rows: Sequence[int], start: int, within: int) -> int:
+    """Vertices of ``within`` that ``start`` reaches along ``rows`` inside ``within``, and ``start``."""
+    seen = 1 << start
+    frontier = seen
+    while frontier:
+        grown = 0
+        for u in _iter_bits(frontier):
+            grown |= rows[u]
+        frontier = grown & within & ~seen
+        seen |= frontier
+    return seen
+
+
 @dataclass(frozen=True, order=True)
 class Digraph:
     """Immutable digraph; instances compare and sort by (n, rows)."""
@@ -104,12 +117,10 @@ def _transpose_rounds(width: int) -> tuple[tuple[int, int], ...]:
     return tuple(rounds)
 
 
-def digon_count(g: Digraph) -> int:
-    """Number of unordered pairs {u, v} joined by arcs in both directions.
+def _packed_transpose(g: Digraph) -> tuple[int, int, int]:
+    """(width, A, A^T): the rows packed at a power-of-two stride ``width``, and their transpose.
 
-    The rows are packed into one int at a power-of-two stride, transposed
-    by masked block swaps, and the digons are half the popcount of A & A^T
-    (the diagonal is empty because loops are not allowed).
+    The transpose is log2(width) masked block swaps of the packed int.
     """
     width = 1 << (g.n - 1).bit_length()
     packed = 0
@@ -119,6 +130,23 @@ def digon_count(g: Digraph) -> int:
     for shift, mask in _transpose_rounds(width):
         swap = (transposed ^ (transposed >> shift)) & mask
         transposed ^= swap ^ (swap << shift)
+    return width, packed, transposed
+
+
+def in_rows(g: Digraph) -> tuple[int, ...]:
+    """In-neighbour bitmask per vertex: bit u of entry v is set exactly when (u, v) is an arc."""
+    width, _, transposed = _packed_transpose(g)
+    full = (1 << width) - 1
+    return tuple([transposed >> shift & full for shift in range(0, g.n * width, width)])
+
+
+def digon_count(g: Digraph) -> int:
+    """Number of unordered pairs {u, v} joined by arcs in both directions.
+
+    Half the popcount of A & A^T, with A^T the packed transpose that in_rows
+    unpacks (the diagonal is empty because loops are not allowed).
+    """
+    _, packed, transposed = _packed_transpose(g)
     return (packed & transposed).bit_count() // 2
 
 
@@ -138,19 +166,9 @@ def permute(g: Digraph, perm: Sequence[int]) -> Digraph:
 
 def is_weakly_connected(g: Digraph) -> bool:
     """True iff the underlying undirected graph is connected."""
-    und = list(g.rows)
-    for u in range(g.n):
-        for v in _iter_bits(g.rows[u]):
-            und[v] |= 1 << u
-    seen = 1
-    frontier = 1
-    while frontier:
-        grown = 0
-        for u in _iter_bits(frontier):
-            grown |= und[u]
-        frontier = grown & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+    und = [row | into for row, into in zip(g.rows, in_rows(g))]
+    full = (1 << g.n) - 1
+    return _closure(und, 0, full) == full
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from stlab.cycles import find_cycle_of_length, path_ends
-from stlab.digraph import Digraph, _iter_bits, is_weakly_connected
+from stlab.digraph import Digraph, _iter_bits, in_rows, is_weakly_connected
 from stlab.families import (
     enumerate_bk01_members,
     enumerate_fnk_members,
@@ -305,8 +305,8 @@ if ISO_CAP > 8 * ROW_BYTES:
 
 def _refine_colors(g: Digraph) -> list[int]:
     """Iterated (outdegree, indegree) colour refinement; colours rank the classes."""
-    in_rows = [sum(1 << u for u in range(g.n) if g.rows[u] >> v & 1) for v in range(g.n)]
-    keys = [(row.bit_count(), into.bit_count()) for row, into in zip(g.rows, in_rows)]
+    into_rows = in_rows(g)
+    keys = [(row.bit_count(), into.bit_count()) for row, into in zip(g.rows, into_rows)]
     distinct = 0
     while True:
         ranking = {key: rank for rank, key in enumerate(sorted(set(keys)))}
@@ -317,7 +317,7 @@ def _refine_colors(g: Digraph) -> list[int]:
         distinct = len(ranking)
         keys = [
             (color, tuple(sorted(colors[w] for w in _iter_bits(row))), tuple(sorted(colors[w] for w in _iter_bits(into))))
-            for color, row, into in zip(colors, g.rows, in_rows)
+            for color, row, into in zip(colors, g.rows, into_rows)
         ]
 
 

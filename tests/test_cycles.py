@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from stlab.cycles import find_cycle_of_length, is_ck_free, path_ends
-from stlab.digraph import Digraph, build_digraph, digon_count, permute
+from stlab.cycles import _strong_components, find_cycle_of_length, is_ck_free, path_ends
+from stlab.digraph import Digraph, build_digraph, digon_count, in_rows, permute
 from stlab.families import gen_bk, gen_complete_digraph, gen_fnk, gen_transitive_tournament
 from stlab.search import enumerate_digraphs
 
@@ -128,3 +128,92 @@ def test_path_ends_decide_extension_freeness():
         assert (find_cycle_of_length(h, length) is not None) == closes, (g, out, into, length)
         verdicts.add(closes)
     assert verdicts == {True, False}
+
+
+def relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return permute(g, perm)
+
+
+def naive_strong_components(g):
+    """Mutual-reachability classes by per-vertex graph search, ordered by least vertex."""
+    reach = []
+    for s in range(g.n):
+        seen, stack = {s}, [s]
+        while stack:
+            for w in g.out_neighbors(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(seen)
+    comps, assigned = [], set()
+    for v in range(g.n):
+        if v not in assigned:
+            comp = {u for u in reach[v] if v in reach[u]}
+            assigned |= comp
+            comps.append(sum(1 << u for u in comp))
+    return comps
+
+
+def test_strong_components_match_mutual_reachability():
+    rng = random.Random(73)
+    inputs = [random_digraph(rng, rng.randint(1, 64), p) for p in (0.02, 0.05, 0.1, 0.3, 0.6, 0.9) for _ in range(5)]
+    # Chains have many components, each found after the earlier ones are assigned.
+    for n in (1, 7, 32, 64):
+        inputs.append(gen_transitive_tournament(n))
+        inputs.append(gen_fnk(n, 3, n // 3 + 1 if n % 3 else None))
+        inputs.append(gen_bk([2] * (n // 2) + [1] * (n % 2)))
+    for g in inputs:
+        g = relabelled(g, rng)
+        assert _strong_components(g, in_rows(g)) == naive_strong_components(g), g
+
+
+def test_detector_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(79)
+    for n in range(5, 11):
+        for _ in range(8):
+            g = random_digraph(rng, n, rng.choice((0.15, 0.25, 0.35)))
+            graph = nx.DiGraph()
+            graph.add_nodes_from(range(g.n))
+            graph.add_edges_from(g.arcs())
+            for length in range(2, n + 1):
+                expected = any(len(c) == length for c in nx.simple_cycles(graph, length_bound=length))
+                assert (find_cycle_of_length(g, length) is not None) == expected, (g, length)
+
+
+def pinned_input(kind, n, seed, length):
+    rng = random.Random(seed)
+    if kind == "fnk":
+        g = gen_fnk(n, length, rng.randint(1, n // length + 1))
+    elif kind == "bk":
+        g = gen_bk([length] * (n // length))
+    else:  # a dense random digraph with a planted cycle of the length
+        g = random_digraph(rng, n, 0.75)
+        cycle = rng.sample(range(n), length)
+        rows = list(g.rows)
+        for i, u in enumerate(cycle):
+            rows[u] |= 1 << cycle[(i + 1) % length]
+        g = Digraph(n, tuple(rows))
+    return relabelled(g, rng)
+
+
+# `stlab free` prints these arcs, so the DFS order that picks them is part of its output.
+@pytest.mark.parametrize(
+    "kind, n, seed, length, witness",
+    [
+        ("fnk", 32, 1, 5, (0, 13, 23, 25, 29)),
+        ("fnk", 64, 2, 7, (0, 4, 31, 45, 46, 50, 63)),
+        ("bk", 64, 3, 8, (0, 4, 16, 40, 35, 57, 56, 62)),
+        ("planted", 32, 4, 16, (0, 1, 2, 3, 5, 7, 4, 6, 12, 8, 9, 10, 11, 13, 14, 15)),
+        (
+            "planted", 32, 5, 32,
+            (0, 2, 3, 1, 5, 4, 6, 7, 8, 10, 11, 13, 15, 12, 9, 14, 16, 17, 18, 19, 20, 22, 21, 25, 23, 24, 26, 27, 28, 29, 30, 31),
+        ),
+        ("planted", 64, 6, 6, (0, 2, 1, 3, 4, 5)),
+        ("planted", 64, 7, 24, (0, 1, 2, 3, 4, 5, 6, 7, 8, 15, 10, 9, 12, 13, 11, 16, 14, 18, 17, 19, 23, 20, 22, 25)),
+    ],
+)
+def test_witnesses_are_pinned(kind, n, seed, length, witness):
+    assert find_cycle_of_length(pinned_input(kind, n, seed, length), length).vertices == witness

@@ -8,12 +8,13 @@ from stlab.digraph import (
     Digraph,
     build_digraph,
     digon_count,
+    in_rows,
     is_weakly_connected,
     out_degree_sequence,
     permute,
 )
 from stlab.families import gen_fnk, gen_transitive_tournament
-from stlab.search import digraph_from_mask
+from stlab.search import digraph_from_mask, enumerate_digraphs
 
 from conftest import random_digraph
 
@@ -128,3 +129,22 @@ def test_random_digraph_helper_is_seeded():
     a = random_digraph(random.Random(7), 6)
     b = random_digraph(random.Random(7), 6)
     assert a == b
+
+
+def naive_in_rows(g):
+    return tuple(sum(1 << u for u in range(g.n) if g.has_arc(u, v)) for v in range(g.n))
+
+
+def test_in_rows_is_the_transpose_exhaustively():
+    for n in range(1, 5):
+        for g in enumerate_digraphs(n):
+            assert in_rows(g) == naive_in_rows(g), g
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 16, 17, 33, 63, 64])
+def test_in_rows_is_the_transpose_at_every_width(n):
+    # Powers of two and the sizes just past them change the packed stride.
+    rng = random.Random(n)
+    for p in (0.1, 0.5, 0.9):
+        g = random_digraph(rng, n, p)
+        assert in_rows(g) == naive_in_rows(g), (n, p)
