@@ -53,11 +53,8 @@ from stlab.search import (
     ExtremalSearchReport,
     are_isomorphic,
     canonical_label,
-    cycle_arc_masks,
     digraph_from_mask,
     enumerate_digraphs,
-    mask_of_digraph,
-    pair_order,
     search_extremal,
 )
 

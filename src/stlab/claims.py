@@ -28,8 +28,7 @@ Caps: n_max is at most MAX_VERTICES (64), the largest bit-row Digraph.
 The oracle runs for n <= min(oracle_cap, ISO_CAP): oracle_cap defaults to
 5, and ISO_CAP (10) bounds the search, whose levels and witness classes are
 keyed by canonical_label.  A larger oracle_cap is the caller's opt-in to
-the slower n >= 6 searches (search_extremal's allow_slow).  jobs is passed
-through and has no effect; the search runs in one process.
+the slower n >= 6 searches (search_extremal's allow_slow).
 """
 
 from __future__ import annotations
@@ -109,13 +108,7 @@ def _witness_diff(found: tuple[Digraph, ...], expected: list[Digraph]) -> tuple[
     return tuple(sorted(want - got)), tuple(sorted(got - want))
 
 
-def verify_theorem(
-    tag: str,
-    n_max: int,
-    k_max: int | None = None,
-    oracle_cap: int = 5,
-    jobs: int = 1,
-) -> list[ClaimRow]:
+def verify_theorem(tag: str, n_max: int, k_max: int | None = None, oracle_cap: int = 5) -> list[ClaimRow]:
     """Check one tagged claim over a grid of orders; one row per (n, k).
 
     A grid without rows is a usage error, never a vacuous pass.
@@ -127,13 +120,13 @@ def verify_theorem(
     if n_max > MAX_VERTICES:
         raise ValueError(f"n_max must be <= MAX_VERTICES = {MAX_VERTICES}, got {n_max}")
     k_hi = k_max if k_max is not None else 5
-    rows = _grid_rows(tag, n_max, k_hi, min(oracle_cap, ISO_CAP), jobs)
+    rows = _grid_rows(tag, n_max, k_hi, min(oracle_cap, ISO_CAP))
     if not rows:
         raise ValueError(f"empty grid: {tag} has no rows with n <= {n_max} and k <= {k_hi}")
     return rows
 
 
-def _grid_rows(tag: str, n_max: int, k_hi: int, oracle_cap: int, jobs: int) -> list[ClaimRow]:
+def _grid_rows(tag: str, n_max: int, k_hi: int, oracle_cap: int) -> list[ClaimRow]:
     if tag == "lemma3.1":
         return _ordering_rows(n_max, k_hi)
     spec = _claim_specs()[tag]
@@ -145,7 +138,7 @@ def _grid_rows(tag: str, n_max: int, k_hi: int, oracle_cap: int, jobs: int) -> l
             values = [spec.measure(g) for g in members]
             oracle, witness, missing, extra = None, WITNESS_SKIPPED, (), ()
             if n <= oracle_cap:
-                report = search_extremal(n, k + 1, spec.objective, jobs=jobs, allow_slow=True)
+                report = search_extremal(n, k + 1, spec.objective, allow_slow=True)
                 oracle = report.max_value
                 missing, extra = _witness_diff(report.witnesses, members)
                 witness = WITNESS_MISMATCH if missing or extra else WITNESS_OK

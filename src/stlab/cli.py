@@ -2,14 +2,14 @@
 
 Subcommands: gen, measure, free, formula, search, verify.  Exit codes are
 stable for CI: 0 success/PASS, 1 verification failure, 2 usage error.
-STL_JOBS provides the default for --jobs, which is checked (>= 1) but has no
-effect: the search oracle runs in one process.
+search and verify take --jobs, default 1; a value below 1 is a usage error
+on both, and any other value has no effect: the search oracle runs in one
+process.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -41,12 +41,12 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("STL_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _jobs(text: str) -> int:
+    """The --jobs argument type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _load_input(text: str) -> tuple[Digraph, FamilySpec | None]:
@@ -147,9 +147,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    rows = verify_theorem(
-        args.tag, args.n_max, k_max=args.k_max, oracle_cap=args.oracle_cap, jobs=args.jobs
-    )
+    rows = verify_theorem(args.tag, args.n_max, k_max=args.k_max, oracle_cap=args.oracle_cap)
     header = f"{'tag':<9} {'n':>3} {'k':>3} {'formula':>10} {'generator':>10} {'oracle':>8} {'witness':>10}  status"
     print(header)
     print("-" * len(header))
@@ -206,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid-cycle", type=int, required=True, metavar="L")
     p.add_argument("--objective", choices=("le", "m1", "arcs"), required=True)
     p.add_argument("--connected-only", action="store_true")
-    p.add_argument("--jobs", type=int, default=_default_jobs(), help="must be >= 1; has no effect")
+    p.add_argument("--jobs", type=_jobs, default=1, help="must be >= 1; has no effect")
     p.add_argument("--allow-slow", action="store_true", help="enable n >= 6, whose cost grows steeply with n")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(fn=_cmd_search)
@@ -216,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=5)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--oracle-cap", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=_default_jobs(), help="must be >= 1; has no effect")
+    p.add_argument("--jobs", type=_jobs, default=1, help="must be >= 1; has no effect")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

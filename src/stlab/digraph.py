@@ -4,7 +4,7 @@ Vertices are dense integer labels 0..n-1.  Row ``u`` is a plain int whose
 bit ``v`` is set exactly when the arc (u, v) is present, so a whole
 out-neighbourhood fits in one machine word at the capacity limit.  Digraph
 values are immutable and hashable; every structural operation returns a
-fresh value, which makes them safe to share across parallel workers.
+fresh value.
 """
 
 from __future__ import annotations

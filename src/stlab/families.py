@@ -101,21 +101,12 @@ def gen_fnk(n: int, k: int, r_position: int | None = None) -> Digraph:
 
 def enumerate_fnk_members(n: int, k: int) -> list[Digraph]:
     """All members for the given order: q+1 residual placements, or one when r=0."""
-    q, r = divmod(n, k)
     if k < 1 or n < 1:
         raise ValueError("n and k must be >= 1")
+    q, r = divmod(n, k)
     if r == 0:
         return [gen_fnk(n, k)]
     return [gen_fnk(n, k, pos) for pos in range(1, q + 2)]
-
-
-def _check_bk_parts(parts: tuple[int, ...]) -> None:
-    if not parts:
-        raise ValueError("parts must be non-empty")
-    if any(p < 1 for p in parts):
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    if sum(p % 2 for p in parts) > 1:
-        raise ValueError(f"at most one part may be odd, got {parts}")
 
 
 def gen_bk(parts: Sequence[int]) -> Digraph:
@@ -125,8 +116,7 @@ def gen_bk(parts: Sequence[int]) -> Digraph:
     internal arcs.
     """
     parts = tuple(parts)
-    _check_bk_parts(parts)
-    return _block_chain(parts, _bipartite_rows)
+    return build_family(FamilySpec("bk", n=sum(parts), parts=parts))
 
 
 def bk01_compositions(n: int) -> list[tuple[int, ...]]:
@@ -160,16 +150,12 @@ def enumerate_bk01_members(n: int) -> list[Digraph]:
 
 def gen_transitive_tournament(n: int) -> Digraph:
     """Acyclic tournament: arc (u, v) iff u < v."""
-    if n < 1:
-        raise ValueError(f"order n must be >= 1, got {n}")
-    return _block_chain([1] * n, _complete_rows)
+    return build_family(FamilySpec("tt", n=n))
 
 
 def gen_complete_digraph(n: int) -> Digraph:
     """All n(n-1) ordered pairs are arcs."""
-    if n < 1:
-        raise ValueError(f"order n must be >= 1, got {n}")
-    return _block_chain([n], _complete_rows)
+    return build_family(FamilySpec("kd", n=n))
 
 
 def spec_block_sizes(spec: FamilySpec) -> list[int]:
@@ -177,7 +163,12 @@ def spec_block_sizes(spec: FamilySpec) -> list[int]:
     if spec.kind == "fnk":
         return fnk_block_sizes(spec.n, spec.k, spec.r_position)
     if spec.kind == "bk":
-        _check_bk_parts(spec.parts)
+        if not spec.parts:
+            raise ValueError("parts must be non-empty")
+        if any(p < 1 for p in spec.parts):
+            raise ValueError(f"parts must be >= 1, got {spec.parts}")
+        if sum(p % 2 for p in spec.parts) > 1:
+            raise ValueError(f"at most one part may be odd, got {spec.parts}")
         if spec.n != sum(spec.parts):
             raise ValueError(f"bk order n={spec.n} must equal the sum of parts {spec.parts}")
         return list(spec.parts)

@@ -58,7 +58,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator
 
 from stlab.cycles import find_cycle_of_length, path_ends
@@ -82,15 +81,6 @@ _MEASURES: dict[str, Callable[[Digraph], int]] = {"LE": laplacian_energy, "M1": 
 # Mask encoding
 
 
-def pair_order(n: int) -> list[tuple[int, int]]:
-    """The fixed bit order: ordered pairs row-major, diagonal skipped."""
-    return [(u, v) for u in range(n) for v in range(n) if v != u]
-
-
-def pair_index(n: int, u: int, v: int) -> int:
-    return u * (n - 1) + (v if v < u else v - 1)
-
-
 def digraph_from_mask(n: int, mask: int) -> Digraph:
     w = n - 1
     group = (1 << w) - 1
@@ -101,41 +91,12 @@ def digraph_from_mask(n: int, mask: int) -> Digraph:
     return Digraph(n, tuple(rows))
 
 
-def mask_of_digraph(g: Digraph) -> int:
-    w = g.n - 1
-    mask = 0
-    for u, row in enumerate(g.rows):
-        grp = (row & ((1 << u) - 1)) | ((row >> (u + 1)) << u)
-        mask |= grp << (u * w)
-    return mask
-
-
 def enumerate_digraphs(n: int):
     """Yield every loop-free digraph on n labelled vertices exactly once."""
     if not 1 <= n <= ENUM_CAP:
         raise ValueError(f"enumeration is capped at n <= {ENUM_CAP}, got {n}")
     for mask in range(1 << (n * (n - 1))):
         yield digraph_from_mask(n, mask)
-
-
-@lru_cache(maxsize=None)
-def cycle_arc_masks(n: int, length: int) -> tuple[int, ...]:
-    """Arc masks of every directed cycle of exactly ``length`` on n vertices.
-
-    Each cycle appears once, anchored at its minimum vertex.  Empty when
-    length > n (no such cycle fits).
-    """
-    if length < 2:
-        raise ValueError(f"cycle length must be >= 2, got {length}")
-    masks = []
-    for anchor in range(n):
-        for tail in itertools.permutations(range(anchor + 1, n), length - 1):
-            seq = (anchor,) + tail
-            m = 0
-            for i in range(length):
-                m |= 1 << pair_index(n, seq[i], seq[(i + 1) % length])
-            masks.append(m)
-    return tuple(masks)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +202,8 @@ def search_extremal(
     objective is one of LE, M1, ARCS (case-insensitive); scope "all" or
     "connected_only".  forbidden_len may exceed n, in which case nothing is
     excluded.  n is capped at ISO_CAP, and n >= 6 must be enabled with
-    allow_slow.  jobs is validated and otherwise ignored: the descent runs
-    in one process.
+    allow_slow.  jobs stays for the callers that pass it: it must be >= 1
+    and has no other effect, since the descent runs in one process.
     """
     obj = str(objective).upper()
     if obj not in OBJECTIVES:

@@ -93,7 +93,7 @@ def bundle_json(bundle: InvariantBundle) -> dict:
 
 def report_json(report: ExtremalSearchReport) -> dict:
     # elapsed_ms is deliberately omitted: report files must be byte-identical
-    # across reruns and worker counts.
+    # across reruns and --jobs values.
     return {
         "schema": SCHEMA_VERSION,
         "n": report.n,

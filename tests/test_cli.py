@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from stlab.cli import _default_jobs, main
+from stlab.claims import TAGS
+from stlab.cli import main
 from stlab.digraph import build_digraph
 from stlab.search import search_extremal
 from stlab.serialize import parse_arclist
@@ -204,10 +205,24 @@ def test_verify_n_max_beyond_vertex_cap_fails_fast(capsys, monkeypatch):
     assert "n_max must be <= MAX_VERTICES = 64, got 65" in err
 
 
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.delenv("STL_JOBS", raising=False)
-    assert _default_jobs() == 1
-    monkeypatch.setenv("STL_JOBS", "4")
-    assert _default_jobs() == 4
-    monkeypatch.setenv("STL_JOBS", "bogus")
-    assert _default_jobs() == 1
+SEARCH_ARGV = ["search", "--n", "4", "--forbid-cycle", "3", "--objective", "le"]
+VERIFY_ARGVS = {tag: ["verify", tag, "--n-max", "5", "--k-max", "4"] for tag in TAGS}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(SEARCH_ARGV, id="search")]
+    + [pytest.param(argv, id=tag) for tag, argv in VERIFY_ARGVS.items()]
+    + [pytest.param(argv + ["--oracle-cap", "0"], id=f"{tag}-cap0") for tag, argv in VERIFY_ARGVS.items()],
+)
+def test_jobs_below_one_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", "0"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "jobs" in captured.err
+
+
+@pytest.mark.parametrize("argv", [SEARCH_ARGV, VERIFY_ARGVS["lemma3.1"]], ids=["search", "verify"])
+def test_jobs_two_is_accepted(capsys, argv):
+    assert run(capsys, *argv, "--jobs", "2")[0] == 0

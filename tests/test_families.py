@@ -50,6 +50,11 @@ class TestFnk:
         assert len(enumerate_fnk_members(6, 3)) == 1
         assert len(enumerate_fnk_members(7, 3)) == 3
 
+    @pytest.mark.parametrize("n,k", [(5, 0), (0, 3)])
+    def test_member_enumeration_validates_first(self, n, k):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            enumerate_fnk_members(n, k)
+
     def test_members_share_arc_count(self):
         for n, k in ((5, 3), (7, 3), (10, 4), (9, 3)):
             sizes = {g.e for g in enumerate_fnk_members(n, k)}
@@ -119,6 +124,11 @@ class TestDegenerateFamilies:
         assert gen_complete_digraph(3).e == 6
         assert gen_complete_digraph(2).e == 2
         assert gen_complete_digraph(1).e == 0
+
+    @pytest.mark.parametrize("gen", [gen_transitive_tournament, gen_complete_digraph])
+    def test_order_validation(self, gen):
+        with pytest.raises(ValueError, match="order n must be >= 1"):
+            gen(0)
 
 
 class TestSpecStrings:

@@ -23,11 +23,8 @@ from stlab.search import (
     _threshold_below,
     are_isomorphic,
     canonical_label,
-    cycle_arc_masks,
     digraph_from_mask,
     enumerate_digraphs,
-    mask_of_digraph,
-    pair_order,
     search_extremal,
 )
 from stlab.serialize import dumps, report_json
@@ -114,16 +111,6 @@ def _delete_vertex(g, v):
 
 
 class TestMaskEncoding:
-    def test_pair_order_is_row_major(self):
-        assert pair_order(3) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-
-    def test_mask_round_trip(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            n = rng.randint(1, 7)
-            g = random_digraph(rng, n)
-            assert digraph_from_mask(n, mask_of_digraph(g)) == g
-
     @pytest.mark.parametrize("n,count", [(2, 4), (3, 64), (4, 4096)])
     def test_enumeration_counts(self, n, count):
         seen = set()
@@ -134,13 +121,6 @@ class TestMaskEncoding:
     def test_enumeration_cap(self):
         with pytest.raises(ValueError, match="capped"):
             list(enumerate_digraphs(7))
-
-    def test_cycle_masks_count(self):
-        # directed cycles of length L on n labelled vertices: n! / ((n-L)! L)
-        assert len(cycle_arc_masks(5, 3)) == 20
-        assert len(cycle_arc_masks(5, 2)) == 10
-        assert len(cycle_arc_masks(5, 4)) == 30
-        assert len(cycle_arc_masks(4, 5)) == 0
 
 
 class TestSweepKernel:
