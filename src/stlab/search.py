@@ -16,8 +16,21 @@ set O and receives arcs from a set I; it closes a C_L exactly when a simple
 path of L-2 arcs runs from O to I (cycles.path_ends), so I ranges over the
 subsets of the vertices those paths miss.  Every objective grows with arcs,
 so an O whose largest allowed I falls short of T_m is skipped.  Each level
-is deduplicated by canonical form (McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 1998).
+is deduplicated by canonical form.
+
+Most extensions are dropped before they are labelled (the invariant test
+ahead of the labeller in McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 1998).  Deleting a vertex u changes the value by a closed
+per-vertex form: ARCS loses d+(u) + d-(u); M1 loses d+(u)^2 and 2d+(w) - 1
+for each in-neighbour w of u; LE loses the M1 amount and 2 per digon at u.
+An extension h is labelled only when its new vertex maximises key(u) =
+(value(h - u), d+(u), d-(u)).  No class is lost: by the averaging bound
+some deletion of h keeps T_{m-1}, so deleting a key-maximal vertex u*
+leaves a member of level m-1, and extending that member's stored copy
+re-creates h with the new vertex in the role of u*.  Every key-maximal
+vertex passes, so no orbit test is needed; the canonical forms remove the
+duplicates that remain, and each level holds the same classes as without
+the filter.
 
 T_n is the best value among family members that find_cycle_of_length
 confirms C_L-free and that meet the scope: the transitive tournament, K_n
@@ -36,10 +49,20 @@ enumerate_digraphs walks all of them.
 The canonical label is the minimum row serialization over all vertex
 relabellings compatible with iterated (outdegree, indegree) colour
 refinement: each colour class takes a block of consecutive positions, in
-class order.  It is exact (no hashing heuristics) and found without
-enumerating those relabellings, by a lex-min partition search with
-automorphism pruning (McKay & Piperno, "Practical graph isomorphism, II",
-2014).  Positions are filled in order; position i takes a vertex y from
+class order.  A refinement round ranks the vertices by (colour, sorted
+out-neighbour colours, sorted in-neighbour colours), with each sorted
+tuple packed into one count word: with k colours, field c of b =
+n.bit_length() bits (colour 0 the most significant) counts the neighbours
+of colour c.  Colours refine the degrees, so the tuples within one colour
+class have equal length, and for sorted tuples of equal length the
+lexicographic order is the reverse of the order of their count vectors;
+each word is therefore stored complemented (2^(kb) - 1 minus the counts),
+and the int (colour, out-word, in-word) sorts as the tuples would.
+
+The label is exact (no hashing heuristics) and found without enumerating
+those relabellings, by a lex-min partition search with automorphism
+pruning (McKay & Piperno, "Practical graph isomorphism, II", 2014).
+Positions are filled in order; position i takes a vertex y from
 the cell holding it.  The smallest row y can get puts its out-neighbours
 at the lowest positions of every cell, so that row is known at once; only
 the candidates with the least row are kept, y is individualised and every
@@ -47,10 +70,13 @@ cell is split into (out-neighbours of y, the rest).  A branch whose rows
 already exceed the best leaf's is pruned.  Two leaves with equal rows give
 an automorphism: the search returns to where their paths part, and skips
 siblings in the orbit of an explored one under the automorphisms found so
-far that fix the filled positions.  are_isomorphic compares canonical
-forms.  ISO_CAP is 10; the 2-byte rows of CanonicalForm cap it at 16, which
-an import-time check enforces.  On a 2-vCPU Intel Xeon VM (Python 3.11),
-K10 and the empty 10-vertex digraph take about 2 ms, C10 about 0.5 ms.
+far that fix the filled positions.  are_isomorphic compares the sorted
+(outdegree, indegree, digons at v) triples first and compares canonical
+forms only when they agree.  ISO_CAP is 10; the 2-byte rows of
+CanonicalForm cap it at 16, which an import-time check enforces.  On a
+2-vCPU Intel Xeon VM (Python 3.11), K10 and the empty 10-vertex digraph
+take about 1.1 ms, C10 about 0.2 ms and a random 10-vertex digraph about
+0.04 ms.
 """
 
 from __future__ import annotations
@@ -168,6 +194,30 @@ def _extensions(g: Digraph, length: int, objective: str, threshold: int) -> Iter
             into = (into - 1) & allowed
 
 
+def _deletion_keys(g: Digraph, objective: str) -> list[tuple[int, int, int]]:
+    """(value(g - u), outdegree, indegree) for every vertex u, by closed per-vertex forms.
+
+    Deleting u removes its d+(u) + d-(u) arcs.  For M1 it removes d+(u)^2 and
+    each in-neighbour w's square drops by 2d+(w) - 1; for LE it also removes
+    the two closed 2-walks of each digon at u.
+    """
+    ins = in_rows(g)
+    outdeg = [row.bit_count() for row in g.rows]
+    indeg = [into.bit_count() for into in ins]
+    if objective == "ARCS":
+        e = sum(outdeg)
+        values = [e - d - i for d, i in zip(outdeg, indeg)]
+    else:
+        step = [2 * d - 1 for d in outdeg]
+        m1 = sum(d * d for d in outdeg)
+        values = [m1 - d * d - sum(step[w] for w in _iter_bits(into)) for d, into in zip(outdeg, ins)]
+        if objective == "LE":
+            digons = [(row & into).bit_count() for row, into in zip(g.rows, ins)]
+            c2 = sum(digons)
+            values = [value + c2 - 2 * at for value, at in zip(values, digons)]
+    return list(zip(values, outdeg, indeg))
+
+
 @dataclass(frozen=True)
 class ExtremalSearchReport:
     """Outcome of one exhaustive extremal search.
@@ -217,7 +267,7 @@ def search_extremal(
     if n >= 6 and not allow_slow:
         raise ValueError(
             f"n={n} builds every isomorphism class above the descent thresholds, a count that "
-            "grows steeply with n (n=8, L=2, ARCS builds all 6,880 tournament classes in about 8 s); "
+            "grows steeply with n (n=8, L=2, ARCS builds all 6,880 tournament classes in about 2 s); "
             "enable it explicitly with allow_slow (--allow-slow)"
         )
     if jobs < 1:
@@ -236,7 +286,10 @@ def search_extremal(
         grown: dict[bytes, Digraph] = {}
         for g in level.values():
             for h in _extensions(g, forbidden_len, obj, thresholds[m]):
-                grown.setdefault(canonical_label(h).data, h)
+                # Every class is reached with a key-maximal new vertex (module docstring).
+                keys = _deletion_keys(h, obj)
+                if keys[-1] == max(keys):
+                    grown.setdefault(canonical_label(h).data, h)
         level = grown
 
     values = {data: measure(g) for data, g in level.items() if not connected_only or is_weakly_connected(g)}
@@ -265,21 +318,36 @@ if ISO_CAP > 8 * ROW_BYTES:
 
 
 def _refine_colors(g: Digraph) -> list[int]:
-    """Iterated (outdegree, indegree) colour refinement; colours rank the classes."""
-    into_rows = in_rows(g)
-    keys = [(row.bit_count(), into.bit_count()) for row, into in zip(g.rows, into_rows)]
+    """Iterated (outdegree, indegree) colour refinement; colours rank the classes.
+
+    Each round re-keys a vertex by (colour, out-counts, in-counts), packed
+    into one int as the module docstring describes.
+    """
+    n, rows = g.n, g.rows
+    bits = n.bit_length()  # a field holds any neighbour count < n
+    keys = [row.bit_count() << bits | into.bit_count() for row, into in zip(rows, in_rows(g))]
     distinct = 0
     while True:
         ranking = {key: rank for rank, key in enumerate(sorted(set(keys)))}
         colors = [ranking[key] for key in keys]
         # A discrete colouring cannot split further and keeps its order.
-        if len(ranking) in (distinct, g.n):
+        if len(ranking) in (distinct, n):
             return colors
         distinct = len(ranking)
-        keys = [
-            (color, tuple(sorted(colors[w] for w in _iter_bits(row))), tuple(sorted(colors[w] for w in _iter_bits(into))))
-            for color, row, into in zip(colors, g.rows, into_rows)
-        ]
+        width = distinct * bits
+        full = (1 << width) - 1
+        # Colour 0 has the most significant field; words start at full and
+        # lose one unit of a field per neighbour, so they are complemented.
+        weight = [1 << (distinct - 1 - color) * bits for color in colors]
+        outs, ins = [full] * n, [full] * n
+        for u, row in enumerate(rows):
+            while row:
+                low = row & -row
+                w = low.bit_length() - 1
+                outs[u] -= weight[w]
+                ins[w] -= weight[u]
+                row ^= low
+        keys = [(color << width | out) << width | into for color, out, into in zip(colors, outs, ins)]
 
 
 @dataclass(frozen=True, order=True)
@@ -365,10 +433,21 @@ def canonical_label(g: Digraph) -> CanonicalForm:
     return CanonicalForm(bytes([n]) + b"".join(row.to_bytes(ROW_BYTES, "big") for row in best[0]))
 
 
+def _degree_triples(g: Digraph) -> list[tuple[int, int, int]]:
+    """Sorted (outdegree, indegree, digons at v) over the vertices: an isomorphism invariant."""
+    pairs = zip(g.rows, in_rows(g))
+    return sorted((row.bit_count(), into.bit_count(), (row & into).bit_count()) for row, into in pairs)
+
+
 def are_isomorphic(g: Digraph, h: Digraph) -> bool:
-    """True iff g and h have the same canonical form."""
+    """True iff g and h have the same canonical form.
+
+    Digraphs whose degree triples differ are told apart without labelling.
+    """
     if g.n != h.n:
         raise ValueError(f"order mismatch: {g.n} vs {h.n}")
     if g.n > ISO_CAP:
         raise ValueError(f"isomorphism testing is capped at n <= {ISO_CAP}, got {g.n}")
-    return g.e == h.e and canonical_label(g) == canonical_label(h)
+    if g.e != h.e or _degree_triples(g) != _degree_triples(h):
+        return False
+    return canonical_label(g) == canonical_label(h)

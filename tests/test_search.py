@@ -16,10 +16,13 @@ from stlab.families import (
 )
 from stlab.cli import main
 from stlab.invariants import c2, first_zagreb, laplacian_energy
+import stlab.search as search
 from stlab.search import (
     ISO_CAP,
     OBJECTIVES,
     SCOPES,
+    _deletion_keys,
+    _refine_colors,
     _threshold_below,
     are_isomorphic,
     canonical_label,
@@ -33,6 +36,7 @@ from conftest import random_digraph
 
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
 DIGON = build_digraph(2, [(0, 1), (1, 0)])
+MEASURES = {"LE": laplacian_energy, "M1": first_zagreb, "ARCS": lambda g: g.e}
 
 
 def _circulant(n, steps):
@@ -47,31 +51,40 @@ def _relabelled(g, rng):
     return permute(g, rng.sample(range(g.n), g.n))
 
 
-def _reference_canonical_bytes(g):
-    """Canonical bytes by trying every relabelling compatible with colour refinement.
+def _reference_refine_colors(g):
+    """Colour refinement by sorted neighbour-colour tuples, the form the packed kernel replaces.
 
-    Refinement starts from (outdegree, indegree) and re-keys each vertex by
-    (colour, sorted out-neighbour colours, sorted in-neighbour colours) until
-    the class count stops growing; classes take consecutive positions in the
-    sorted order of their keys.
+    Keys start at (outdegree, indegree); each round re-keys a vertex by
+    (colour, sorted out-neighbour colours, sorted in-neighbour colours) and
+    ranks the distinct keys, until the class count stops growing or every
+    class is a single vertex.
     """
-    keys = {v: (g.out_degree(v), g.in_degree(v)) for v in range(g.n)}
+    keys = [(g.out_degree(v), g.in_degree(v)) for v in range(g.n)]
     distinct = 0
     while True:
-        ranking = {key: rank for rank, key in enumerate(sorted(set(keys.values())))}
-        colors = {v: ranking[keys[v]] for v in range(g.n)}
-        if len(ranking) == distinct:
-            break
+        ranking = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+        colors = [ranking[key] for key in keys]
+        if len(ranking) in (distinct, g.n):
+            return colors
         distinct = len(ranking)
-        keys = {
-            v: (
+        keys = [
+            (
                 colors[v],
                 tuple(sorted(colors[w] for w in g.out_neighbors(v))),
                 tuple(sorted(colors[w] for w in g.in_neighbors(v))),
             )
             for v in range(g.n)
-        }
-    classes = [[v for v in range(g.n) if colors[v] == c] for c in range(distinct)]
+        ]
+
+
+def _reference_canonical_bytes(g):
+    """Canonical bytes by trying every relabelling compatible with colour refinement.
+
+    Classes of the reference refinement take consecutive positions in colour
+    order.
+    """
+    colors = _reference_refine_colors(g)
+    classes = [[v for v in range(g.n) if colors[v] == c] for c in range(max(colors) + 1)]
     best = None
     for pick in itertools.product(*(itertools.permutations(c) for c in classes)):
         order = [v for block in pick for v in block]
@@ -168,6 +181,69 @@ class TestDescentPremises:
             self._check(random_digraph(rng, rng.randint(2, 10), rng.choice((0.2, 0.5, 0.8, 1.0))))
 
 
+class TestDeletionFilter:
+    """The per-vertex deletion keys, and the filter on them, which must keep every class."""
+
+    @staticmethod
+    def _check(g):
+        for objective in OBJECTIVES:
+            want = [
+                (MEASURES[objective](_delete_vertex(g, u)), g.out_degree(u), g.in_degree(u))
+                for u in range(g.n)
+            ]
+            assert _deletion_keys(g, objective) == want, (g, objective)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_digraph(self, n):
+        for g in enumerate_digraphs(n):
+            self._check(g)
+
+    def test_random_digraphs(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            self._check(random_digraph(rng, rng.randint(2, 10), rng.choice((0.2, 0.5, 0.8, 1.0))))
+
+    @staticmethod
+    def _levels(monkeypatch, n, length, objective, scope):
+        """The class set of every level, as the canonical bytes one search labels per order, and the call count."""
+        labelled, calls = {}, []
+        label = search.canonical_label
+
+        def recording(g):
+            form = label(g)
+            labelled.setdefault(g.n, set()).add(form.data)
+            calls.append(g.n)
+            return form
+
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "canonical_label", recording)
+            search_extremal(n, length, objective, scope=scope, allow_slow=True)
+        return labelled, len(calls)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_levels_match_unfiltered_descent(self, monkeypatch, n):
+        saved = 0
+        for length in range(2, n + 2):
+            for objective in OBJECTIVES:
+                for scope in SCOPES:
+                    filtered, calls = self._levels(monkeypatch, n, length, objective, scope)
+                    with monkeypatch.context() as patch:
+                        # Equal keys make every new vertex key-maximal: nothing is filtered.
+                        patch.setattr(search, "_deletion_keys", lambda g, objective: [()] * g.n)
+                        unfiltered, unfiltered_calls = self._levels(monkeypatch, n, length, objective, scope)
+                    assert filtered == unfiltered, (length, objective, scope)
+                    saved += unfiltered_calls - calls
+        assert saved > 0 or n == 1
+
+
+@pytest.mark.parametrize("n,classes", enumerate([1, 1, 2, 4, 12, 56, 456], start=1))
+def test_tournament_class_counts(n, classes):
+    # The extremal digraphs for L = 2 and ARCS are the tournaments, whose
+    # classes are counted independently (OEIS A000568).
+    report = search_extremal(n, 2, "ARCS", allow_slow=True)
+    assert (report.max_value, len(report.witnesses)) == (n * (n - 1) // 2, classes)
+
+
 N6_TABLE = {  # forbidden length: (max, classes) for LE, M1, ARCS; equal for both scopes
     2: ((55, 1), (55, 1), (15, 56)),
     3: ((76, 3), (70, 1), (18, 4)),
@@ -258,11 +334,42 @@ class TestIsomorphism:
     def test_random_relabellings_are_isomorphic(self):
         rng = random.Random(17)
         for _ in range(100):
-            n = rng.randint(1, 8)
-            g = random_digraph(rng, n)
+            n = rng.randint(1, ISO_CAP)
+            g = random_digraph(rng, n, rng.choice((0.2, 0.5, 0.8)))
             perm = list(range(n))
             rng.shuffle(perm)
             assert are_isomorphic(g, permute(g, perm))
+
+    def test_equal_degree_triples_still_separated(self):
+        # Every vertex has the same (outdegree, indegree, digons) triple within each pair.
+        pairs = [
+            (_circulant(6, (1,)), _union(_circulant(3, (1,)), _circulant(3, (1,)))),
+            (_circulant(8, (1,)), _union(_circulant(4, (1,)), _circulant(4, (1,)))),
+            (_circulant(7, (1, 2)), _circulant(7, (1, 3))),
+            (_circulant(6, (1, 5)), _union(_circulant(3, (1, 2)), _circulant(3, (1, 2)))),
+        ]
+        for g, h in pairs:
+            assert search._degree_triples(g) == search._degree_triples(h)
+            assert not are_isomorphic(g, h)
+
+    def test_differing_triples_skip_the_labeller(self, monkeypatch):
+        calls = []
+        label = search.canonical_label
+        monkeypatch.setattr(search, "canonical_label", lambda g: calls.append(g) or label(g))
+        # Equal order and arc count; the first pair also has equal degrees and
+        # differs only in its digons.
+        digon_and_triangle = _union(DIGON, _circulant(3, (1,)))
+        pairs = [
+            (digon_and_triangle, _circulant(5, (1,))),
+            (gen_transitive_tournament(6), _circulant(6, (1, 2, 3))),
+            (gen_transitive_tournament(4), _union(gen_complete_digraph(3), build_digraph(1, []))),
+        ]
+        for g, h in pairs:
+            assert search._degree_triples(g) != search._degree_triples(h)
+            assert not are_isomorphic(g, h)
+        assert calls == []
+        assert are_isomorphic(digon_and_triangle, _relabelled(digon_and_triangle, random.Random(3)))
+        assert len(calls) == 2
 
 
 class TestCanonicalLabel:
@@ -337,6 +444,35 @@ class TestCanonicalLabel:
     def test_complete_digraph_is_its_own_form(self):
         k10 = gen_complete_digraph(10)
         assert canonical_label(k10).to_digraph() == k10
+
+
+class TestRefinement:
+    """The packed-count kernel gives the colours of the sorted-tuple refinement."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_digraph(self, n):
+        for g in enumerate_digraphs(n):
+            assert _refine_colors(g) == _reference_refine_colors(g), g
+
+    def test_random_digraphs(self):
+        rng = random.Random(67)
+        for _ in range(600):
+            g = random_digraph(rng, rng.randint(1, 16), rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+            assert _refine_colors(g) == _reference_refine_colors(g), g
+
+    def test_structured_digraphs(self):
+        inputs = []
+        for n in range(2, 17):
+            inputs += [gen_complete_digraph(n), build_digraph(n, []), gen_transitive_tournament(n)]
+            inputs += [_circulant(n, steps) for steps in ((1,), (1, 2), (1, 3), (1, n - 1)) if max(steps) < n]
+        for first in (DIGON, _circulant(3, (1,)), gen_transitive_tournament(3), _circulant(5, (1, 2))):
+            for second in (build_digraph(1, []), _circulant(4, (1,)), gen_fnk(5, 3, 2), _circulant(7, (1, 3))):
+                inputs += [_union(first, second), _union(second, first)]
+        inputs += [_union(_union(g, g), g) for g in (gen_transitive_tournament(4), _circulant(5, (1,)))]
+        rng = random.Random(71)
+        for g in inputs:
+            for h in (g, _relabelled(g, rng)):
+                assert _refine_colors(h) == _reference_refine_colors(h), h
 
 
 class TestCanonicalBytesMatchReference:
