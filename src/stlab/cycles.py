@@ -8,10 +8,12 @@ prunes keep dense-but-free instances tractable: a cycle lives entirely
 inside one strongly connected component, and a partial path is abandoned
 as soon as the shortest way back to the anchor exceeds the arcs left.
 Both prunes read the in-neighbour rows that digraph.in_rows unpacks from
-one packed block-swap transpose per call: components are bitset closures
-forward along the rows and backward along the in-rows, and the return
-distances are a bitset BFS from the anchor along the in-rows, one OR per
-vertex reached.
+one packed block-swap transpose per call.  The components come from two
+Kosaraju passes that each visit every vertex once: a depth-first search
+along the rows records finish order, then bitset closures backward along
+the in-rows, taken in reverse finish order, peel off one component each.
+The return distances are a bitset BFS from the anchor along the in-rows,
+one OR per vertex reached.
 
 path_ends gives, per vertex, where the simple paths of an exact arc count
 from it end; the search oracle uses it to keep one-vertex extensions
@@ -40,16 +42,37 @@ class CycleWitness:
 def _strong_components(g: Digraph, into: Sequence[int]) -> list[int]:
     """Bitmasks of the strongly connected components, ordered by least vertex.
 
-    A component holds no vertex of an earlier one, so the forward closure
-    stays among unassigned vertices and the backward one inside it.
+    Kosaraju-Sharir with bitsets.  Pass 1 is an iterative depth-first search
+    along the rows that steps to the lowest unvisited out-neighbour and
+    records each vertex when it has none left.  Pass 2 takes the vertices in
+    reverse finish order: the first unassigned one reaches, backward along
+    the in-rows among the unassigned vertices, exactly its own component.
+    Pass 1 reads a row once per tree arc and once per finished vertex, at
+    most 2n reads, and pass 2 reads each in-row once.
     """
+    rows = g.rows
+    order = []
+    unvisited = (1 << g.n) - 1
+    while unvisited:
+        root = unvisited & -unvisited
+        unvisited ^= root
+        stack = [root.bit_length() - 1]
+        while stack:
+            ahead = rows[stack[-1]] & unvisited
+            if ahead:
+                low = ahead & -ahead
+                unvisited ^= low
+                stack.append(low.bit_length() - 1)
+            else:
+                order.append(stack.pop())
     comps = []
     unassigned = (1 << g.n) - 1
-    while unassigned:
-        v = (unassigned & -unassigned).bit_length() - 1
-        comp = _closure(into, v, _closure(g.rows, v, unassigned))
-        comps.append(comp)
-        unassigned &= ~comp
+    for v in reversed(order):
+        if unassigned >> v & 1:
+            comp = _closure(into, v, unassigned)
+            comps.append(comp)
+            unassigned ^= comp
+    comps.sort(key=lambda comp: comp & -comp)
     return comps
 
 

@@ -200,4 +200,4 @@ class DegreeSequence:
 
 def out_degree_sequence(g: Digraph) -> DegreeSequence:
     """Descending sequence of all n outdegrees, with prefix sums."""
-    return DegreeSequence.from_degrees(g.out_degree(u) for u in range(g.n))
+    return DegreeSequence.from_degrees(row.bit_count() for row in g.rows)

@@ -210,7 +210,10 @@ def parse_family_spec(text: str) -> FamilySpec:
         key, sep, value = item.partition("=")
         if not sep or not key or not value:
             raise ValueError(f"malformed family spec field {item!r} in {text!r}")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise ValueError(f"family spec field {key}= is repeated in {text!r}")
+        fields[key] = value.strip()
 
     def take_int(key: str) -> int:
         try:

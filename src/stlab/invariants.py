@@ -26,7 +26,7 @@ def c2(g: Digraph) -> int:
 
 def first_zagreb(g: Digraph) -> int:
     """Sum of squared outdegrees."""
-    return sum(g.out_degree(u) ** 2 for u in range(g.n))
+    return sum(row.bit_count() ** 2 for row in g.rows)
 
 
 def laplacian_energy(g: Digraph) -> int:

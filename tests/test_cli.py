@@ -49,6 +49,12 @@ def test_gen_bad_spec_is_usage_error(capsys):
     assert "order n must be >= 1" in err
 
 
+def test_gen_repeated_spec_field_is_usage_error(capsys):
+    code, out, err = run(capsys, "gen", "fnk:n=4,k=3,s=2,n=5")
+    assert (code, out) == (2, "")
+    assert "field n= is repeated" in err
+
+
 def test_measure_spec(capsys):
     code, out, _ = run(capsys, "measure", "fnk:n=5,k=2,s=3")
     assert code == 0

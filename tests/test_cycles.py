@@ -169,6 +169,60 @@ def test_strong_components_match_mutual_reachability():
         assert _strong_components(g, in_rows(g)) == naive_strong_components(g), g
 
 
+def reversed_labels(g):
+    return permute(g, range(g.n - 1, -1, -1))
+
+
+class CountingRows(tuple):
+    """Out-rows that count their reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+class CountingInRows:
+    """In-rows that count the reads of each entry."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = [0] * len(rows)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        self.reads[index] += 1
+        return self.rows[index]
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        gen_transitive_tournament(64),
+        gen_fnk(64, 2),
+        gen_fnk(64, 3, 22),
+        gen_fnk(64, 5, 1),
+        gen_bk([2] * 32),
+        gen_bk([4] * 16),
+    ],
+    ids=["tt", "fnk-k2", "fnk-k3", "fnk-k5", "bk-2s", "bk-4s"],
+)
+def test_strong_components_do_linear_work(chain):
+    rng = random.Random(83)
+    # With the blocks in reverse label order the search finishes the least
+    # vertex's component last, so only the final sort puts it first.
+    for g in (chain, reversed_labels(chain), relabelled(chain, rng)):
+        rows = CountingRows(g.rows)
+        into = CountingInRows(in_rows(g))
+        comps = _strong_components(Digraph(g.n, rows), into)
+        assert comps == naive_strong_components(g)
+        assert into.reads == [1] * g.n
+        assert rows.reads <= 2 * g.n
+
+
 def test_detector_agrees_with_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(79)

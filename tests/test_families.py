@@ -164,6 +164,11 @@ class TestSpecStrings:
         with pytest.raises(ValueError):
             parse_family_spec(text)
 
+    @pytest.mark.parametrize("text", ["fnk:n=4,k=3,s=2,n=5", "fnk:n=4,k=3,s=2,s=9", "bk:parts=2+2,parts=4", "tt:n=3, n=3"])
+    def test_rejects_repeated_field(self, text):
+        with pytest.raises(ValueError, match="repeated"):
+            parse_family_spec(text)
+
     @pytest.mark.parametrize(
         "spec",
         [
