@@ -119,6 +119,8 @@ def verify_theorem(tag: str, n_max: int, k_max: int | None = None, oracle_cap: i
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > MAX_VERTICES:
         raise ValueError(f"n_max must be <= MAX_VERTICES = {MAX_VERTICES}, got {n_max}")
+    if oracle_cap < 0:
+        raise ValueError(f"oracle_cap must be >= 0, got {oracle_cap}")
     k_hi = k_max if k_max is not None else 5
     rows = _grid_rows(tag, n_max, k_hi, min(oracle_cap, ISO_CAP))
     if not rows:

@@ -5,15 +5,31 @@ bit ``v`` is set exactly when the arc (u, v) is present, so a whole
 out-neighbourhood fits in one machine word at the capacity limit.  Digraph
 values are immutable and hashable; every structural operation returns a
 fresh value.
+
+The per-row work of the core runs in C-level bulk calls, not in Python
+loops over the rows.  A Digraph validates all rows at once: row u ANDed
+with ``-(1 << n) | 1 << u`` is non-zero exactly when the row is negative,
+addresses a vertex >= n or holds the loop (u, u).  The packed bit matrix
+that digon_count and in_rows transpose is converted to and from the row
+tuple in bulk: one byte per row at n <= 8, else one fixed-width ``array``
+item per row, at a stride of 16, 32 or 64 bits (_pack_rows, _unpack_rows).
 """
 
 from __future__ import annotations
 
+import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
+
+# _FORBIDDEN[n][u]: the bits row u of an n-vertex Digraph must not have, namely
+# bits >= n (so also the sign of a negative row) and the loop bit u.
+_FORBIDDEN = tuple(tuple(-(1 << n) | 1 << u for u in range(n)) for n in range(MAX_VERTICES + 1))
 
 
 def _iter_bits(word: int) -> Iterator[int]:
@@ -48,6 +64,8 @@ class Digraph:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {self.n}")
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
+        if not any(map(operator.and_, self.rows, _FORBIDDEN[self.n])):
+            return
         for u, row in enumerate(self.rows):
             if row >> self.n:
                 raise ValueError(f"row {u} addresses vertices >= n={self.n}")
@@ -57,7 +75,7 @@ class Digraph:
     @cached_property
     def e(self) -> int:
         """Number of arcs."""
-        return sum(row.bit_count() for row in self.rows)
+        return sum(map(int.bit_count, self.rows))
 
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -99,45 +117,85 @@ def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     return Digraph(n, tuple(rows))
 
 
-@lru_cache(maxsize=None)
-def _transpose_rounds(width: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) per block-swap round of a packed width x width transpose.
+# Array typecode per item size in bytes, for rows wider than one byte.
+_TYPECODES = {array(code).itemsize: code for code in "HILQ"}
+if not {2, 4, 8} <= _TYPECODES.keys():
+    raise ImportError(f"array lacks a typecode of 2, 4 or 8 bytes: {_TYPECODES}")
+_BIG_ENDIAN = sys.byteorder == "big"
 
-    Round j exchanges bit j of the row and column indices: the mask marks
-    cells (u, v) with u & j == 0 and v & j != 0, whose partners (u + j, v - j)
-    sit j * (width - 1) bits higher (Warren, Hacker's Delight, section 7-3).
+
+def _pack_rows(rows: Sequence[int], stride: int) -> int:
+    """One int holding row u at bits [u * stride, (u + 1) * stride); stride is 8, 16, 32 or 64.
+
+    The rows become one byte each (stride 8) or fixed-width unsigned array
+    items, whose bytes are read as one little-endian int; a big-endian host
+    swaps each item's bytes first.
     """
+    if stride == 8:
+        return int.from_bytes(bytes(rows), "little")
+    items = array(_TYPECODES[stride // 8], rows)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return int.from_bytes(items, "little")
+
+
+def _unpack_rows(packed: int, stride: int, count: int) -> tuple[int, ...]:
+    """The first ``count`` stride-bit rows of ``packed``: the inverse of _pack_rows."""
+    data = packed.to_bytes(count * stride // 8, "little")
+    if stride == 8:
+        return tuple(data)
+    items = array(_TYPECODES[stride // 8], data)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return tuple(items)
+
+
+@lru_cache(maxsize=None)
+def _transpose_layout(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(stride, rounds) of the packed transpose of an n x n bit matrix.
+
+    The matrix is taken as size x size, size the next power of two >= n,
+    with rows at a stride of max(8, size) bits so that a row is whole bytes
+    for _pack_rows.  Round j of the log2(size) block-swap rounds exchanges
+    bit j of the row and column indices: its mask marks cells (u, v) with
+    u & j == 0 and v & j != 0, whose partners (u + j, v - j) sit
+    j * (stride - 1) bits higher (Warren, Hacker's Delight, section 7-3).
+    One entry per vertex count, so at most MAX_VERTICES entries.
+    """
+    size = 1 << (n - 1).bit_length()
+    stride = max(8, size)
     rounds = []
     j = 1
-    while j < width:
-        cols = sum(1 << v for v in range(width) if v & j)
-        mask = sum(cols << (u * width) for u in range(width) if not u & j)
-        rounds.append((j * (width - 1), mask))
+    while j < size:
+        cols = sum(1 << v for v in range(size) if v & j)
+        mask = sum(cols << (u * stride) for u in range(size) if not u & j)
+        rounds.append((j * (stride - 1), mask))
         j <<= 1
-    return tuple(rounds)
+    return stride, tuple(rounds)
 
 
 def _packed_transpose(g: Digraph) -> tuple[int, int, int]:
-    """(width, A, A^T): the rows packed at a power-of-two stride ``width``, and their transpose.
+    """(stride, A, A^T): the rows packed at ``stride`` bits apart, and their transpose.
 
-    The transpose is log2(width) masked block swaps of the packed int.
+    Packing and unpacking go through bytes or fixed-width ``array`` items
+    in little-endian byte order (_pack_rows, _unpack_rows).  The transpose
+    is log2(size) masked block swaps of the packed int, size the next power
+    of two >= n (_transpose_layout).  Bits at columns >= n, and rows >= n
+    of A^T, are zero.
     """
-    width = 1 << (g.n - 1).bit_length()
-    packed = 0
-    for u, row in enumerate(g.rows):
-        packed |= row << (u * width)
+    stride, rounds = _transpose_layout(g.n)
+    packed = _pack_rows(g.rows, stride)
     transposed = packed
-    for shift, mask in _transpose_rounds(width):
+    for shift, mask in rounds:
         swap = (transposed ^ (transposed >> shift)) & mask
         transposed ^= swap ^ (swap << shift)
-    return width, packed, transposed
+    return stride, packed, transposed
 
 
 def in_rows(g: Digraph) -> tuple[int, ...]:
     """In-neighbour bitmask per vertex: bit u of entry v is set exactly when (u, v) is an arc."""
-    width, _, transposed = _packed_transpose(g)
-    full = (1 << width) - 1
-    return tuple([transposed >> shift & full for shift in range(0, g.n * width, width)])
+    stride, _, transposed = _packed_transpose(g)
+    return _unpack_rows(transposed, stride, g.n)
 
 
 def digon_count(g: Digraph) -> int:
@@ -183,16 +241,15 @@ class DegreeSequence:
     prefix: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(a < b for a, b in zip(self.values, self.values[1:])):
+        if any(map(operator.lt, self.values, self.values[1:])):
             raise ValueError("values must be non-increasing")
+        if self.prefix != tuple(accumulate(self.values, initial=0)):
+            raise ValueError(f"prefix {self.prefix} is not the prefix sums of {self.values}")
 
     @classmethod
     def from_degrees(cls, degrees: Iterable[int]) -> DegreeSequence:
         values = tuple(sorted(degrees, reverse=True))
-        prefix = [0]
-        for d in values:
-            prefix.append(prefix[-1] + d)
-        return cls(values, tuple(prefix))
+        return cls(values, tuple(accumulate(values, initial=0)))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -200,4 +257,4 @@ class DegreeSequence:
 
 def out_degree_sequence(g: Digraph) -> DegreeSequence:
     """Descending sequence of all n outdegrees, with prefix sums."""
-    return DegreeSequence.from_degrees(row.bit_count() for row in g.rows)
+    return DegreeSequence.from_degrees(map(int.bit_count, g.rows))

@@ -20,9 +20,11 @@ non-isomorphic) members, so enumerators walk compositions, not partitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
-from stlab.digraph import Digraph
+from stlab.digraph import MAX_VERTICES, Digraph
 
 FAMILY_KINDS = ("fnk", "bk", "tt", "kd")
 
@@ -43,38 +45,52 @@ class FamilySpec:
     parts: tuple[int, ...] | None = None
 
 
-def _complete_rows(size: int) -> list[int]:
+# Block-local rows per block size.  Sizes come from validated specs, which
+# cap them at MAX_VERTICES, so each cache holds at most MAX_VERTICES entries.
+
+
+@lru_cache(maxsize=None)
+def _complete_rows(size: int) -> tuple[int, ...]:
     full = (1 << size) - 1
-    return [full ^ (1 << i) for i in range(size)]
+    return tuple(full ^ (1 << i) for i in range(size))
 
 
-def _bipartite_rows(size: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _bipartite_rows(size: int) -> tuple[int, ...]:
     first = (size + 1) // 2
     side_a = (1 << first) - 1
     side_b = ((1 << size) - 1) ^ side_a
-    return [side_b] * first + [side_a] * (size - first)
+    return (side_b,) * first + (side_a,) * (size - first)
 
 
-def _block_chain(sizes: Sequence[int], rows_for_block: Callable[[int], list[int]]) -> Digraph:
-    n = sum(sizes)
-    full = (1 << n) - 1
-    rows = []
-    start = 0
-    for size in sizes:
-        stop = start + size
-        later = full ^ ((1 << stop) - 1)
-        for local in rows_for_block(size):
-            rows.append((local << start) | later)
-        start = stop
-    return Digraph(n, tuple(rows))
+def _block_chain(sizes: Sequence[int], rows_for_block: Callable[[int], tuple[int, ...]]) -> Digraph:
+    """The forward-dominating chain of blocks of these sizes, each block's rows from rows_for_block."""
+    full = (1 << sum(sizes)) - 1
+    stops = list(accumulate(sizes))
+    starts = [0, *stops[:-1]]
+    laters = [full >> stop << stop for stop in stops]
+    rows = tuple(
+        [
+            local << start | later
+            for block, start, later in zip(map(rows_for_block, sizes), starts, laters)
+            for local in block
+        ]
+    )
+    return Digraph(len(rows), rows)
+
+
+def _check_order(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"order n must be >= 1, got {n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
 
 
 def fnk_block_sizes(n: int, k: int, r_position: int | None = None) -> list[int]:
     """Ordered block sizes for one chain-of-complete-digraphs member."""
     if k < 1:
         raise ValueError(f"block size k must be >= 1, got {k}")
-    if n < 1:
-        raise ValueError(f"order n must be >= 1, got {n}")
+    _check_order(n)
     q, r = divmod(n, k)
     if r == 0:
         if r_position is not None:
@@ -171,11 +187,11 @@ def spec_block_sizes(spec: FamilySpec) -> list[int]:
             raise ValueError(f"at most one part may be odd, got {spec.parts}")
         if spec.n != sum(spec.parts):
             raise ValueError(f"bk order n={spec.n} must equal the sum of parts {spec.parts}")
+        _check_order(spec.n)
         return list(spec.parts)
     if spec.kind not in ("tt", "kd"):
         raise ValueError(f"unknown family kind {spec.kind!r}")
-    if spec.n < 1:
-        raise ValueError(f"order n must be >= 1, got {spec.n}")
+    _check_order(spec.n)
     if spec.kind == "tt":
         return [1] * spec.n
     return [spec.n]

@@ -8,7 +8,9 @@ makes the contract exactly testable.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
+from itertools import accumulate
 from typing import Sequence
 
 # gen_fnk stays importable here: perfbench's tracer wraps it at this site.
@@ -27,20 +29,14 @@ def _check_pair(x: Sequence[int], y: Sequence[int]) -> None:
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     for seq, name in ((x, "x"), (y, "y")):
-        if any(a < b for a, b in zip(seq, seq[1:])):
+        if any(map(operator.lt, seq, seq[1:])):
             raise ValueError(f"{name} is not non-increasing: {tuple(seq)}")
 
 
 def majorizes(x: Sequence[int], y: Sequence[int]) -> bool:
     """True iff every prefix sum of x dominates y's and the totals agree."""
     _check_pair(x, y)
-    sx = sy = 0
-    for a, b in zip(x, y):
-        sx += a
-        sy += b
-        if sx < sy:
-            return False
-    return sx == sy
+    return all(map(operator.ge, accumulate(x), accumulate(y))) and sum(x) == sum(y)
 
 
 def karamata_square_check(x: Sequence[int], y: Sequence[int]) -> KaramataVerdict:

@@ -263,7 +263,7 @@ def search_extremal(
     if forbidden_len < 2:
         raise ValueError(f"forbidden cycle length must be >= 2, got {forbidden_len}")
     if not 1 <= n <= ISO_CAP:
-        raise ValueError(f"search is capped at n <= {ISO_CAP}, got {n}")
+        raise ValueError(f"n must be in 1..{ISO_CAP} (the search is capped at ISO_CAP), got {n}")
     if n >= 6 and not allow_slow:
         raise ValueError(
             f"n={n} builds every isomorphism class above the descent thresholds, a count that "

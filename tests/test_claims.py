@@ -69,6 +69,16 @@ def test_oracle_rows_skip_beyond_cap():
     assert all(row.oracle is None for row in rows if row.n > 4)
 
 
+def test_negative_oracle_cap_is_rejected(capsys):
+    with pytest.raises(ValueError, match="oracle_cap must be >= 0, got -1"):
+        verify_theorem("thm1.5", 3, oracle_cap=-1)
+    assert all(row.witness == "skipped" for row in verify_theorem("thm1.5", 3, oracle_cap=0))
+    assert main(["verify", "thm1.5", "--n-max", "3", "--oracle-cap", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "oracle_cap must be >= 0" in captured.err
+
+
 @pytest.mark.parametrize("tag", ["thm1.3", "thm1.4", "thm1.5", "thm1.6", "lemma2.1"])
 def test_oracle_runs_every_row_to_n8(tag):
     rows = verify_theorem(tag, 8, k_max=5, oracle_cap=8)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from stlab import families
 from stlab.claims import TAGS
 from stlab.cli import main
 from stlab.digraph import build_digraph
@@ -47,6 +48,22 @@ def test_gen_bad_spec_is_usage_error(capsys):
     code, out, err = run(capsys, "gen", "tt:n=0")
     assert (code, out) == (2, "")
     assert "order n must be >= 1" in err
+
+
+@pytest.mark.parametrize("spec", ["kd:n=20000", "tt:n=65", "fnk:n=20000,k=3,s=1", "bk:parts=20000"])
+def test_gen_above_max_vertices_fails_before_building(capsys, monkeypatch, spec):
+    def no_build(*args):
+        raise AssertionError("rows built for an order above MAX_VERTICES")
+
+    monkeypatch.setattr(families, "_block_chain", no_build)
+    code, out, err = run(capsys, "gen", spec)
+    assert (code, out) == (2, "")
+    n = spec.partition("=")[2].partition(",")[0]
+    assert f"vertex count must be in 1..64, got {n}" in err
+    with pytest.raises(ValueError, match=f"got {n}"):
+        families.build_family(families.FamilySpec("kd", n=int(n)))
+    with pytest.raises(ValueError, match=f"got {n}"):
+        families.gen_fnk(int(n), 3, 1)
 
 
 def test_gen_repeated_spec_field_is_usage_error(capsys):

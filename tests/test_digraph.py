@@ -60,6 +60,24 @@ class TestBuild:
         with pytest.raises(ValueError, match="loop"):
             Digraph(2, (1, 0))  # bit 0 of row 0 is the loop (0, 0)
 
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (lambda n, u: -1, "row {u} addresses vertices >= n={n}"),
+            (lambda n, u: 1 << n, "row {u} addresses vertices >= n={n}"),
+            (lambda n, u: 1 << u, r"loop arc \({u}, {u}\)"),
+        ],
+        ids=["negative", "bit-n", "loop"],
+    )
+    def test_each_rejection_names_the_row(self, n, bad, message):
+        # The bad row is the first or the last; every other row passes.
+        for u in {0, n - 1}:
+            rows = [0] * n
+            rows[u] = bad(n, u)
+            with pytest.raises(ValueError, match=message.format(n=n, u=u)):
+                Digraph(n, tuple(rows))
+
 
 class TestStructure:
     def test_degree_sequence_transitive_tournament(self):
@@ -76,6 +94,13 @@ class TestStructure:
     def test_degree_sequence_rejects_increasing(self):
         with pytest.raises(ValueError, match="non-increasing"):
             DegreeSequence((1, 2), (0, 1, 3))
+
+    def test_degree_sequence_rejects_wrong_prefix(self):
+        with pytest.raises(ValueError, match="prefix"):
+            DegreeSequence((3, 1), (0, 5, 9))
+        with pytest.raises(ValueError, match="prefix"):
+            DegreeSequence((3, 1), (0, 3))
+        assert DegreeSequence((3, 1), (0, 3, 4)).prefix == (0, 3, 4)
 
     def test_digon_count(self):
         assert digon_count(build_digraph(2, [(0, 1), (1, 0)])) == 1
@@ -141,10 +166,17 @@ def test_in_rows_is_the_transpose_exhaustively():
             assert in_rows(g) == naive_in_rows(g), g
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 16, 17, 33, 63, 64])
+def naive_digon_count(g):
+    return sum(g.has_arc(u, v) and g.has_arc(v, u) for u in range(g.n) for v in range(u))
+
+
+@pytest.mark.parametrize("n", range(1, 65))
 def test_in_rows_is_the_transpose_at_every_width(n):
-    # Powers of two and the sizes just past them change the packed stride.
+    # Every n covers every packed stride (8, 16, 32 and 64 bits, so bytes and
+    # every array typecode) and every transpose size, ragged or not; digon_count
+    # shares the packed transpose.
     rng = random.Random(n)
     for p in (0.1, 0.5, 0.9):
         g = random_digraph(rng, n, p)
         assert in_rows(g) == naive_in_rows(g), (n, p)
+        assert digon_count(g) == naive_digon_count(g), (n, p)

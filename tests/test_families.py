@@ -183,3 +183,45 @@ class TestSpecStrings:
             family_blocks(spec)
         with pytest.raises(ValueError):
             build_family(spec)
+
+
+
+
+def naive_chain(sizes, bipartite):
+    """Rows one arc test at a time.  (u, v) is an arc iff v's block is later, or
+    both share a block and sit on different sides of it: in a complete block
+    every label is its own side, in a bipartite block the first ceil(size / 2)
+    labels are side 0 and the rest side 1."""
+    block, side = [], []
+    for b, size in enumerate(sizes):
+        block += [b] * size
+        side += [int(i >= (size + 1) // 2) for i in range(size)] if bipartite else range(len(side), len(side) + size)
+    n = len(block)
+    return tuple(
+        sum(1 << v for v in range(n) if block[v] > block[u] or (block[v] == block[u] and side[v] != side[u]))
+        for u in range(n)
+    )
+
+
+def bk_compositions(n, odd=1):
+    """Every bk parts tuple summing to n: positive parts, at most ``odd`` of them odd."""
+    if n == 0:
+        yield ()
+    for p in range(1, n + 1):
+        if p % 2 <= odd:
+            for rest in bk_compositions(n - p, odd - p % 2):
+                yield (p,) + rest
+
+
+def test_block_chain_matches_row_by_row_reference():
+    # Every fnk spec (every k up to n + 1, every residual position) and every
+    # bk spec (28,671 of them) with n <= 24.
+    for n in range(1, 25):
+        for k in range(1, n + 2):
+            q, r = divmod(n, k)
+            for pos in range(1, q + 2) if r else (None,):
+                spec = FamilySpec("fnk", n=n, k=k, r_position=pos)
+                sizes = [k] * q if pos is None else [k] * (pos - 1) + [r] + [k] * (q - pos + 1)
+                assert build_family(spec).rows == naive_chain(sizes, False), spec
+        for parts in bk_compositions(n):
+            assert gen_bk(parts).rows == naive_chain(parts, True), parts

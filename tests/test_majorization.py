@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -34,6 +36,28 @@ def test_examples():
     assert majorizes((3, 2, 1, 0), (2, 2, 1, 1))
     assert not majorizes((2, 2, 2), (3, 2, 1))
     assert majorizes((4, 1), (4, 1))
+
+
+def naive_majorizes(x, y):
+    sx = sy = 0
+    for a, b in zip(x, y):
+        sx += a
+        sy += b
+        if sx < sy:
+            return False
+    return sx == sy
+
+
+def test_agrees_with_prefix_sum_loop():
+    rng = random.Random(20261018)
+    for _ in range(500):
+        length = rng.randint(1, 12)
+        x = sorted((rng.randint(0, 6) for _ in range(length)), reverse=True)
+        y = sorted((rng.randint(0, 6) for _ in range(length)), reverse=True)
+        if rng.random() < 0.5 and y[-1] >= sum(y) - sum(x):  # equal totals: the prefixes decide
+            y[-1] += sum(x) - sum(y)
+            y.sort(reverse=True)
+        assert majorizes(x, y) == naive_majorizes(x, y), (x, y)
 
 
 def test_length_mismatch():

@@ -579,6 +579,8 @@ class TestSearch:
             search_extremal(3, 1, "LE")
         with pytest.raises(ValueError, match="capped"):
             search_extremal(ISO_CAP + 1, 3, "LE")
+        with pytest.raises(ValueError, match=rf"n must be in 1\.\.{ISO_CAP} .*got 0"):
+            search_extremal(0, 3, "LE")
         with pytest.raises(ValueError, match="allow_slow"):
             search_extremal(6, 3, "LE")
         with pytest.raises(ValueError, match="jobs"):
