@@ -15,22 +15,32 @@ from level m-1 by one-vertex extensions.  The new vertex sends arcs to a
 set O and receives arcs from a set I; it closes a C_L exactly when a simple
 path of L-2 arcs runs from O to I (cycles.path_ends), so I ranges over the
 subsets of the vertices those paths miss.  Every objective grows with arcs,
-so an O whose largest allowed I falls short of T_m is skipped.  Each level
-is deduplicated by canonical form.
+so an O whose largest allowed I falls short of T_m is skipped.
 
-Most extensions are dropped before they are labelled (the invariant test
-ahead of the labeller in McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 1998).  Deleting a vertex u changes the value by a closed
-per-vertex form: ARCS loses d+(u) + d-(u); M1 loses d+(u)^2 and 2d+(w) - 1
-for each in-neighbour w of u; LE loses the M1 amount and 2 per digon at u.
-An extension h is labelled only when its new vertex maximises key(u) =
-(value(h - u), d+(u), d-(u)).  No class is lost: by the averaging bound
-some deletion of h keeps T_{m-1}, so deleting a key-maximal vertex u*
-leaves a member of level m-1, and extending that member's stored copy
-re-creates h with the new vertex in the role of u*.  Every key-maximal
-vertex passes, so no orbit test is needed; the canonical forms remove the
-duplicates that remain, and each level holds the same classes as without
-the filter.
+Most extensions are dropped before they are built or labelled (the
+invariant test ahead of the labeller in McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998).  Deleting a vertex u changes the value by
+a closed per-vertex form: ARCS loses d+(u) + d-(u); M1 loses d+(u)^2 and
+2d+(w) - 1 for each in-neighbour w of u; LE loses the M1 amount and 2 per
+digon at u.  An extension h is kept only when its new vertex maximises
+key(u) = (value(h - u), d+(u), d-(u)); _extensions takes the keys from g's
+rows and in-rows, with bit n added to the rows in I and the in-rows in O,
+and builds a Digraph only for the kept ones.  No class is lost: by the
+averaging bound some deletion of h keeps T_{m-1}, so deleting a key-maximal
+vertex u* leaves a member of level m-1, and extending that member's stored
+copy re-creates h with the new vertex in the role of u*.  Every key-maximal
+vertex passes, so no orbit test is needed.
+
+Labels are spent only where two arrivals might be one class.  Each level
+is bucketed by the sorted tuple of an extension's keys, an isomorphism
+invariant computed anyway.  The first arrival in a bucket is stored
+unlabelled; a second arrival labels both, and the bucket then keeps one
+digraph per canonical form.  This is exact: isomorphic digraphs share a
+bucket, so every class is stored once, and a stored member only seeds the
+next level, whose classes are all reached from any representative.  At the
+top level only the unlabelled members attaining the maximum are labelled,
+to sort and emit the witnesses; the report keeps those canonical forms, so
+nothing labels a witness again.
 
 T_n is the best value among family members that find_cycle_of_length
 confirms C_L-free and that meet the scope: the transitive tournament, K_n
@@ -84,7 +94,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from stlab.cycles import find_cycle_of_length, path_ends
 from stlab.digraph import Digraph, _iter_bits, in_rows, is_weakly_connected
@@ -158,16 +168,23 @@ def _seed_value(n: int, length: int, measure: Callable[[Digraph], int], connecte
     )
 
 
-def _extensions(g: Digraph, length: int, objective: str, threshold: int) -> Iterator[Digraph]:
-    """Every C_length-free one-vertex extension of g whose value reaches threshold.
+Keys = list[tuple[int, int, int]]
+
+
+def _extensions(g: Digraph, length: int, objective: str, threshold: int) -> Iterator[tuple[Digraph, Keys]]:
+    """Every C_length-free one-vertex extension of g that reaches threshold and passes the key filter.
 
     The new vertex n = g.n sends arcs to O and receives arcs from I.  Its
     value is g's plus the gain of O (|O|, or |O|^2 as the new outdegree
     squared), plus a per-vertex gain over I (1, or 2d + 1 as an outdegree d
-    grows by one), plus 2 per digon with O for LE.
+    grows by one), plus 2 per digon with O for LE.  An extension is kept,
+    with its deletion keys, only when its new vertex is key-maximal; the
+    keys are taken from g's rows and in-rows with bit n added to the rows
+    in I and the in-rows in O, so a Digraph is built only for the kept ones.
     """
     n = g.n
     ends = path_ends(g, length - 2)
+    ins = in_rows(g)
     step = [1 if objective == "ARCS" else 2 * row.bit_count() + 1 for row in g.rows]
     digon = 2 if objective == "LE" else 0
     # Per subset S of the old vertices: the gain of I = S, and the vertices
@@ -179,31 +196,36 @@ def _extensions(g: Digraph, length: int, objective: str, threshold: int) -> Iter
         gain[subset] = gain[subset ^ low] + step[v]
         blocked[subset] = blocked[subset ^ low] | ends[v]
     base = _MEASURES[objective](g)
+    bit = 1 << n
     for out in range(1 << n):
         size = out.bit_count()
         need = threshold - base - (size if objective == "ARCS" else size * size)
         allowed = ((1 << n) - 1) & ~blocked[out]
         if gain[allowed] + digon * (allowed & out).bit_count() < need:
             continue
+        old_ins = tuple(into | bit if out >> u & 1 else into for u, into in enumerate(ins))
         into = allowed
         while True:
             if gain[into] + digon * (into & out).bit_count() >= need:
-                yield Digraph(n + 1, tuple(row | (into >> u & 1) << n for u, row in enumerate(g.rows)) + (out,))
+                rows = tuple(row | bit if into >> u & 1 else row for u, row in enumerate(g.rows)) + (out,)
+                keys = _deletion_keys(rows, old_ins + (into,), objective)
+                # Every class is reached with a key-maximal new vertex (module docstring).
+                if keys[-1] == max(keys):
+                    yield Digraph(n + 1, rows), keys
             if not into:
                 break
             into = (into - 1) & allowed
 
 
-def _deletion_keys(g: Digraph, objective: str) -> list[tuple[int, int, int]]:
-    """(value(g - u), outdegree, indegree) for every vertex u, by closed per-vertex forms.
+def _deletion_keys(rows: Sequence[int], ins: Sequence[int], objective: str) -> Keys:
+    """(value(g - u), outdegree, indegree) for every vertex u of the digraph with these rows and in-rows.
 
     Deleting u removes its d+(u) + d-(u) arcs.  For M1 it removes d+(u)^2 and
     each in-neighbour w's square drops by 2d+(w) - 1; for LE it also removes
     the two closed 2-walks of each digon at u.
     """
-    ins = in_rows(g)
-    outdeg = [row.bit_count() for row in g.rows]
-    indeg = [into.bit_count() for into in ins]
+    outdeg = list(map(int.bit_count, rows))
+    indeg = list(map(int.bit_count, ins))
     if objective == "ARCS":
         e = sum(outdeg)
         values = [e - d - i for d, i in zip(outdeg, indeg)]
@@ -212,10 +234,37 @@ def _deletion_keys(g: Digraph, objective: str) -> list[tuple[int, int, int]]:
         m1 = sum(d * d for d in outdeg)
         values = [m1 - d * d - sum(step[w] for w in _iter_bits(into)) for d, into in zip(outdeg, ins)]
         if objective == "LE":
-            digons = [(row & into).bit_count() for row, into in zip(g.rows, ins)]
+            digons = [(row & into).bit_count() for row, into in zip(rows, ins)]
             c2 = sum(digons)
             values = [value + c2 - 2 * at for value, at in zip(values, digons)]
     return list(zip(values, outdeg, indeg))
+
+
+Level = list[tuple[bytes | None, Digraph]]
+
+
+def _next_level(level: Level, length: int, objective: str, threshold: int) -> Level:
+    """Level m from level m-1: one (canonical bytes or None, digraph) pair per class.
+
+    Extensions are bucketed by their sorted deletion keys, an isomorphism
+    invariant.  The first arrival in a bucket is stored unlabelled; a second
+    arrival labels both, and the bucket then keeps one digraph per
+    canonical form.
+    """
+    buckets: dict[tuple, Digraph | dict[bytes, Digraph]] = {}
+    for _, g in level:
+        for h, keys in _extensions(g, length, objective, threshold):
+            bucket = tuple(sorted(keys))
+            held = buckets.setdefault(bucket, h)
+            if held is h:
+                continue
+            if isinstance(held, Digraph):
+                held = buckets[bucket] = {canonical_label(held).data: held}
+            held.setdefault(canonical_label(h).data, h)
+    grown: Level = []
+    for held in buckets.values():
+        grown += [(None, held)] if isinstance(held, Digraph) else held.items()
+    return grown
 
 
 @dataclass(frozen=True)
@@ -224,9 +273,11 @@ class ExtremalSearchReport:
 
     Witnesses are the canonical representatives of every isomorphism class
     attaining the maximum, sorted by canonical bytes, so reports are fully
-    deterministic.  searched_count is 2^(n(n-1)), the number of labelled
-    digraphs the answer is exact over.  elapsed_ms is wall-clock
-    bookkeeping only and is kept out of the canonical JSON rendering.
+    deterministic; witness_forms holds those canonical forms, in the same
+    order, so no caller needs to label a witness again.  searched_count is
+    2^(n(n-1)), the number of labelled digraphs the answer is exact over.
+    elapsed_ms is wall-clock bookkeeping only and is kept out of the
+    canonical JSON rendering.
     """
 
     n: int
@@ -235,6 +286,7 @@ class ExtremalSearchReport:
     scope: str
     max_value: int
     witnesses: tuple[Digraph, ...]
+    witness_forms: tuple[CanonicalForm, ...]
     searched_count: int
     elapsed_ms: int
 
@@ -280,21 +332,20 @@ def search_extremal(
     for m in range(n, 1, -1):
         thresholds[m - 1] = _threshold_below(obj, m, thresholds[m])
 
-    single = Digraph(1, (0,))
-    level = {canonical_label(single).data: single}
+    level: Level = [(None, Digraph(1, (0,)))]
     for m in range(2, n + 1):
-        grown: dict[bytes, Digraph] = {}
-        for g in level.values():
-            for h in _extensions(g, forbidden_len, obj, thresholds[m]):
-                # Every class is reached with a key-maximal new vertex (module docstring).
-                keys = _deletion_keys(h, obj)
-                if keys[-1] == max(keys):
-                    grown.setdefault(canonical_label(h).data, h)
-        level = grown
+        level = _next_level(level, forbidden_len, obj, thresholds[m])
 
-    values = {data: measure(g) for data, g in level.items() if not connected_only or is_weakly_connected(g)}
-    best = max(values.values())
-    witnesses = tuple(CanonicalForm(data).to_digraph() for data in sorted(values) if values[data] == best)
+    if connected_only:
+        level = [(data, g) for data, g in level if is_weakly_connected(g)]
+    values = [measure(g) for _, g in level]
+    best = max(values)
+    # Only the members attaining the maximum need a label, to sort and emit them.
+    forms = sorted(
+        CanonicalForm(data) if data is not None else canonical_label(g)
+        for (data, g), value in zip(level, values)
+        if value == best
+    )
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return ExtremalSearchReport(
         n=n,
@@ -302,7 +353,8 @@ def search_extremal(
         objective=obj,
         scope=scope,
         max_value=best,
-        witnesses=witnesses,
+        witnesses=tuple(form.to_digraph() for form in forms),
+        witness_forms=tuple(forms),
         searched_count=1 << (n * (n - 1)),
         elapsed_ms=elapsed_ms,
     )

@@ -12,6 +12,7 @@ from typing import Mapping
 
 from stlab.digraph import Digraph, build_digraph
 from stlab.invariants import InvariantBundle
+# canonical_label stays importable here: perfbench's tracer wraps it at this site.
 from stlab.search import ExtremalSearchReport, canonical_label
 
 SCHEMA_VERSION = 1
@@ -105,9 +106,9 @@ def report_json(report: ExtremalSearchReport) -> dict:
         "witnesses": [
             {
                 "arclist": render_arclist(w),
-                "canonical": canonical_label(w).hex(),
+                "canonical": form.hex(),
             }
-            for w in report.witnesses
+            for w, form in zip(report.witnesses, report.witness_forms)
         ],
     }
 

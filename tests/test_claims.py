@@ -2,8 +2,11 @@ from pathlib import Path
 
 import pytest
 
-from stlab.claims import TAGS, verify_theorem
+import stlab.claims as claims
+from stlab.claims import BK01_N_MAX, TAGS, verify_theorem
 from stlab.cli import main
+from stlab.families import enumerate_bk01_members
+from stlab.search import search_extremal
 
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
 
@@ -77,6 +80,31 @@ def test_negative_oracle_cap_is_rejected(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "oracle_cap must be >= 0" in captured.err
+
+
+def test_thm16_order_bound(capsys, monkeypatch):
+    # thm1.6 holds every bk01 member of an order at once, so its n_max stops
+    # at BK01_N_MAX, checked before any row is computed.
+    monkeypatch.setattr(claims, "_grid_rows", lambda *args: ["rows"])
+    assert verify_theorem("thm1.6", BK01_N_MAX) == ["rows"]
+    with pytest.raises(ValueError, match=f"n_max must be <= BK01_N_MAX = {BK01_N_MAX}, got {BK01_N_MAX + 1}"):
+        verify_theorem("thm1.6", BK01_N_MAX + 1)
+    assert main(["verify", "thm1.6", "--n-max", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "BK01_N_MAX = 40, got 64" in captured.err
+
+
+def test_found_witnesses_are_not_relabelled(monkeypatch):
+    # The search hands over its witnesses' canonical forms; only the expected side is labelled.
+    report = search_extremal(5, 3, "LE")
+    expected = enumerate_bk01_members(5)
+    labelled = []
+    label = claims.canonical_label
+    monkeypatch.setattr(claims, "canonical_label", lambda g: labelled.append(g) or label(g))
+    assert claims._witness_diff(report.witness_forms, expected) == ((), ())
+    assert labelled == expected
+    assert claims._witness_diff(report.witness_forms, []) == ((), report.witness_forms)
 
 
 @pytest.mark.parametrize("tag", ["thm1.3", "thm1.4", "thm1.5", "thm1.6", "lemma2.1"])

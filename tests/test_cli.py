@@ -8,7 +8,7 @@ from stlab import families
 from stlab.claims import TAGS
 from stlab.cli import main
 from stlab.digraph import build_digraph
-from stlab.search import search_extremal
+from stlab.search import canonical_label, search_extremal
 from stlab.serialize import parse_arclist
 
 
@@ -188,7 +188,8 @@ def test_verify_mismatch_lists_witness_classes(capsys, monkeypatch):
         report = search_extremal(n, *args, **kwargs)
         if n != 3:
             return report
-        return dataclasses.replace(report, witnesses=(build_digraph(3, []),))
+        empty = build_digraph(3, [])
+        return dataclasses.replace(report, witnesses=(empty,), witness_forms=(canonical_label(empty),))
 
     monkeypatch.setattr("stlab.claims.search_extremal", wrong_witnesses)
     code, out, _ = run(capsys, "verify", "thm1.5", "--n-max", "3")

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stlab import majorization
-from stlab.digraph import out_degree_sequence
 from stlab.families import gen_fnk
 from stlab.majorization import KaramataVerdict, karamata_square_check, majorizes, verify_fnk_ordering
 
@@ -141,11 +140,11 @@ def test_ordering_single_member_notice():
 
 
 def test_ordering_reports_majorization_violation(monkeypatch):
-    # Hand each placement the outdegree sequence of its mirror image, so the
-    # energies stay increasing but the chain of sequences runs backwards.
-    members = [gen_fnk(7, 3, s + 1) for s in range(3)]
-    mirrored = {g: out_degree_sequence(m) for g, m in zip(members, reversed(members))}
-    monkeypatch.setattr(majorization, "out_degree_sequence", mirrored.__getitem__)
+    # Hand over the placements in reverse order with energies that still
+    # increase, so the chain of outdegree sequences runs backwards.
+    backwards = [gen_fnk(7, 3, s + 1) for s in reversed(range(3))]
+    monkeypatch.setattr(majorization, "enumerate_fnk_members", lambda n, k: backwards)
+    monkeypatch.setattr(majorization, "laplacian_energy", {g: s for s, g in enumerate(backwards)}.__getitem__)
     with pytest.raises(ArithmeticError, match="majorization violated at n=7, k=3: placement 1"):
         verify_fnk_ordering(7, 3)
 

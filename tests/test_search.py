@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from stlab.cycles import is_ck_free
-from stlab.digraph import Digraph, build_digraph, is_weakly_connected, permute
+from stlab.digraph import Digraph, build_digraph, in_rows, is_weakly_connected, permute
 from stlab.families import (
     bk01_compositions,
     enumerate_bk01_members,
@@ -16,7 +16,9 @@ from stlab.families import (
 )
 from stlab.cli import main
 from stlab.invariants import c2, first_zagreb, laplacian_energy
+import stlab.claims as claims
 import stlab.search as search
+import stlab.serialize as serialize
 from stlab.search import (
     ISO_CAP,
     OBJECTIVES,
@@ -182,7 +184,7 @@ class TestDescentPremises:
 
 
 class TestDeletionFilter:
-    """The per-vertex deletion keys, and the filter on them, which must keep every class."""
+    """The per-vertex deletion keys, and the filter and buckets on them, which must keep every class."""
 
     @staticmethod
     def _check(g):
@@ -191,7 +193,7 @@ class TestDeletionFilter:
                 (MEASURES[objective](_delete_vertex(g, u)), g.out_degree(u), g.in_degree(u))
                 for u in range(g.n)
             ]
-            assert _deletion_keys(g, objective) == want, (g, objective)
+            assert _deletion_keys(g.rows, in_rows(g), objective) == want, (g, objective)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_every_digraph(self, n):
@@ -203,22 +205,70 @@ class TestDeletionFilter:
         for _ in range(300):
             self._check(random_digraph(rng, rng.randint(2, 10), rng.choice((0.2, 0.5, 0.8, 1.0))))
 
+    def test_sorted_keys_are_an_invariant(self):
+        # The descent buckets extensions by their sorted keys, so relabelling must not move them.
+        rng = random.Random(67)
+        for _ in range(200):
+            g = random_digraph(rng, rng.randint(1, 10), rng.choice((0.2, 0.5, 0.8)))
+            h = _relabelled(g, rng)
+            for objective in OBJECTIVES:
+                keys = sorted(_deletion_keys(g.rows, in_rows(g), objective))
+                assert keys == sorted(_deletion_keys(h.rows, in_rows(h), objective)), (g, objective)
+
+    def test_extensions_match_brute_force(self):
+        # Every (O, I) pair, checked on the built digraph: C_L-free, above the
+        # threshold and with a key-maximal new vertex, with the keys of that digraph.
+        rng = random.Random(71)
+        for _ in range(60):
+            n, length, objective = rng.randint(1, 4), rng.randint(2, 5), rng.choice(OBJECTIVES)
+            g = random_digraph(rng, n, rng.choice((0.2, 0.5)))
+            if not is_ck_free(g, length):
+                continue
+            threshold = MEASURES[objective](g) + rng.randint(0, n)
+            want = {}
+            for out in range(1 << n):
+                for into in range(1 << n):
+                    h = Digraph(n + 1, tuple(row | (into >> u & 1) << n for u, row in enumerate(g.rows)) + (out,))
+                    keys = _deletion_keys(h.rows, in_rows(h), objective)
+                    if is_ck_free(h, length) and MEASURES[objective](h) >= threshold and keys[-1] == max(keys):
+                        want[h.rows] = keys
+            got = [(h.rows, keys) for h, keys in search._extensions(g, length, objective, threshold)]
+            assert dict(got) == want and len(got) == len(want), (g, length, objective, threshold)
+
     @staticmethod
     def _levels(monkeypatch, n, length, objective, scope):
-        """The class set of every level, as the canonical bytes one search labels per order, and the call count."""
-        labelled, calls = {}, []
-        label = search.canonical_label
+        """Per order, the classes the search stores and those of every extension that arrived.
 
-        def recording(g):
-            form = label(g)
-            labelled.setdefault(g.n, set()).add(form.data)
+        Both are labelled here, outside the search, so the search's own
+        canonical_label calls are counted apart.  Each stored member must be
+        alone in its class and carry its own canonical bytes when it has any.
+        """
+        stored, arrived, calls = {}, {}, []
+        grow, extend, label = search._next_level, search._extensions, search.canonical_label
+
+        def recording_grow(level, *args):
+            grown = grow(level, *args)
+            forms = [canonical_label(h).data for _, h in grown]
+            assert len(set(forms)) == len(forms), "two stored members share a class"
+            assert all(data in (None, form) for (data, _), form in zip(grown, forms))
+            stored[level[0][1].n + 1] = set(forms)
+            return grown
+
+        def recording_extensions(g, *args):
+            for h, keys in extend(g, *args):
+                arrived.setdefault(h.n, set()).add(canonical_label(h).data)
+                yield h, keys
+
+        def counting(g):
             calls.append(g.n)
-            return form
+            return label(g)
 
         with monkeypatch.context() as patch:
-            patch.setattr(search, "canonical_label", recording)
+            patch.setattr(search, "_next_level", recording_grow)
+            patch.setattr(search, "_extensions", recording_extensions)
+            patch.setattr(search, "canonical_label", counting)
             search_extremal(n, length, objective, scope=scope, allow_slow=True)
-        return labelled, len(calls)
+        return stored, arrived, len(calls)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_levels_match_unfiltered_descent(self, monkeypatch, n):
@@ -226,12 +276,19 @@ class TestDeletionFilter:
         for length in range(2, n + 2):
             for objective in OBJECTIVES:
                 for scope in SCOPES:
-                    filtered, calls = self._levels(monkeypatch, n, length, objective, scope)
+                    setting = (length, objective, scope)
+                    stored, arrived, calls = self._levels(monkeypatch, n, length, objective, scope)
+                    # Lazy labelling keeps the class set of labelling every arrival.
+                    assert stored == arrived, setting
                     with monkeypatch.context() as patch:
-                        # Equal keys make every new vertex key-maximal: nothing is filtered.
-                        patch.setattr(search, "_deletion_keys", lambda g, objective: [()] * g.n)
-                        unfiltered, unfiltered_calls = self._levels(monkeypatch, n, length, objective, scope)
-                    assert filtered == unfiltered, (length, objective, scope)
+                        # Equal keys make every new vertex key-maximal, so nothing is
+                        # filtered, and put every arrival of a level in one bucket.
+                        patch.setattr(search, "_deletion_keys", lambda rows, ins, objective: [()] * len(rows))
+                        unfiltered, unfiltered_arrived, unfiltered_calls = self._levels(
+                            monkeypatch, n, length, objective, scope
+                        )
+                    assert unfiltered == unfiltered_arrived, setting
+                    assert stored == unfiltered, setting
                     saved += unfiltered_calls - calls
         assert saved > 0 or n == 1
 
@@ -263,21 +320,39 @@ def test_n6_maxima_and_class_counts(length):
             assert (report.max_value, len(report.witnesses)) == want, (objective, scope)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("search", "--n", "5", "--forbid-cycle", str(length), "--objective", objective) + scope
-        for length in range(2, 7)
-        for objective in ("le", "m1", "arcs")
-        for scope in ((), ("--connected-only",))
-    ],
-    ids=lambda argv: "-".join(argv[3:]).replace("--", ""),
-)
+N5_GRID = [
+    ("search", "--n", "5", "--forbid-cycle", str(length), "--objective", objective) + scope
+    for length in range(2, 7)
+    for objective in ("le", "m1", "arcs")
+    for scope in ((), ("--connected-only",))
+]
+
+
+@pytest.mark.parametrize("argv", N5_GRID, ids=lambda argv: "-".join(argv[3:]).replace("--", ""))
 def test_search_report_matches_golden(tmp_path, argv):
     # The benchmark's golden reports pin every maximum and witness byte.
     name = "-".join(arg.lstrip("-") for arg in argv) + ".json"
     assert main(list(argv) + ["--out", str(tmp_path / name)]) == 0
     assert (tmp_path / name).read_text() == (GOLDENS / name).read_text()
+
+
+def test_n5_grid_label_count(tmp_path, monkeypatch):
+    # Labels run only on bucket collisions and for unlabelled members at the
+    # maximum, and the report reuses the witness forms: 238 calls over the 30
+    # settings, where labelling every key-maximal extension and relabelling
+    # every reported witness made 508.
+    calls = []
+    label = search.canonical_label
+
+    def counting(g):
+        calls.append(g.n)
+        return label(g)
+
+    for module in (search, serialize, claims):
+        monkeypatch.setattr(module, "canonical_label", counting)
+    for argv in N5_GRID:
+        assert main(list(argv) + ["--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == 238
 
 
 class TestIsomorphism:

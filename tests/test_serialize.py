@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from stlab import serialize
 from stlab.digraph import build_digraph
 from stlab.families import gen_bk, gen_fnk, gen_transitive_tournament
-from stlab.search import search_extremal
+from stlab.search import canonical_label, search_extremal
 from stlab.serialize import (
     bundle_json,
     digraph_json,
@@ -79,6 +80,17 @@ def test_bundle_json():
         "e": 12,
         "degseq": [4, 4, 2, 2, 0],
     }
+
+
+def test_report_json_reuses_the_witness_forms(monkeypatch):
+    report = search_extremal(5, 2, "ARCS")
+    # The kept forms are the witnesses' own labels, so the written hex is unchanged.
+    assert [canonical_label(w) for w in report.witnesses] == list(report.witness_forms)
+    monkeypatch.setattr(serialize, "canonical_label", lambda g: pytest.fail("witness relabelled"))
+    witnesses = report_json(report)["witnesses"]
+    assert [w["canonical"] for w in witnesses] == [form.hex() for form in report.witness_forms]
+    assert [parse_arclist(w["arclist"]) for w in witnesses] == [form.to_digraph() for form in report.witness_forms]
+    assert len(witnesses) == 12
 
 
 def test_report_json_is_deterministic_and_timeless():
