@@ -4,7 +4,6 @@ from stlab.claims import TAGS, ClaimRow, verify_theorem
 from stlab.cycles import CycleWitness, find_cycle_of_length, is_ck_free
 from stlab.digraph import (
     MAX_VERTICES,
-    DegreeSequence,
     Digraph,
     build_digraph,
     digon_count,

@@ -117,7 +117,7 @@ def _witness_diff(found: Forms, expected: list[Digraph]) -> tuple[Forms, Forms]:
     return tuple(sorted(want - got)), tuple(sorted(got - want))
 
 
-def verify_theorem(tag: str, n_max: int, k_max: int | None = None, oracle_cap: int = 5) -> list[ClaimRow]:
+def verify_theorem(tag: str, n_max: int, k_max: int = 5, oracle_cap: int = 5) -> list[ClaimRow]:
     """Check one tagged claim over a grid of orders; one row per (n, k).
 
     A grid without rows is a usage error, never a vacuous pass.
@@ -135,10 +135,9 @@ def verify_theorem(tag: str, n_max: int, k_max: int | None = None, oracle_cap: i
         )
     if oracle_cap < 0:
         raise ValueError(f"oracle_cap must be >= 0, got {oracle_cap}")
-    k_hi = k_max if k_max is not None else 5
-    rows = _grid_rows(tag, n_max, k_hi, min(oracle_cap, ISO_CAP))
+    rows = _grid_rows(tag, n_max, k_max, min(oracle_cap, ISO_CAP))
     if not rows:
-        raise ValueError(f"empty grid: {tag} has no rows with n <= {n_max} and k <= {k_hi}")
+        raise ValueError(f"empty grid: {tag} has no rows with n <= {n_max} and k <= {k_max}")
     return rows
 
 

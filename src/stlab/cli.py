@@ -212,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a tagged claim over a grid of orders")
     p.add_argument("tag", choices=TAGS)
     p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--k-max", type=int, default=None)
+    p.add_argument("--k-max", type=int, default=5)
     p.add_argument("--oracle-cap", type=int, default=5)
     p.add_argument("--jobs", type=_jobs, default=1, help="must be >= 1; has no effect")
     p.set_defaults(fn=_cmd_verify)

@@ -22,7 +22,6 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
@@ -229,32 +228,6 @@ def is_weakly_connected(g: Digraph) -> bool:
     return _closure(und, 0, full) == full
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
-    """Non-increasing integer sequence with prefix sums of the t largest.
-
-    ``prefix[t]`` is the sum of the t largest values; ``prefix[0] == 0`` and
-    ``prefix[n]`` equals the total.
-    """
-
-    values: tuple[int, ...]
-    prefix: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(map(operator.lt, self.values, self.values[1:])):
-            raise ValueError("values must be non-increasing")
-        if self.prefix != tuple(accumulate(self.values, initial=0)):
-            raise ValueError(f"prefix {self.prefix} is not the prefix sums of {self.values}")
-
-    @classmethod
-    def from_degrees(cls, degrees: Iterable[int]) -> DegreeSequence:
-        values = tuple(sorted(degrees, reverse=True))
-        return cls(values, tuple(accumulate(values, initial=0)))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def out_degree_sequence(g: Digraph) -> DegreeSequence:
-    """Descending sequence of all n outdegrees, with prefix sums."""
-    return DegreeSequence.from_degrees(map(int.bit_count, g.rows))
+def out_degree_sequence(g: Digraph) -> tuple[int, ...]:
+    """All n outdegrees, non-increasing."""
+    return tuple(sorted(map(int.bit_count, g.rows), reverse=True))

@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ExactValue:
-    """Integer value with its exact rational provenance."""
+    """Integer value numerator / denominator, with the claim it comes from.
 
-    value: int
+    The division must be exact; value is its quotient.
+    """
+
     numerator: int
     denominator: int
     source: str
@@ -32,13 +34,10 @@ class ExactValue:
             raise ArithmeticError(
                 f"{self.source}: {self.numerator}/{self.denominator} is not an integer"
             )
-        if self.value * self.denominator != self.numerator:
-            raise ValueError("value must equal numerator / denominator")
 
-
-def _exact(numerator: int, denominator: int, source: str) -> ExactValue:
-    """numerator / denominator; ExactValue raises ArithmeticError if inexact."""
-    return ExactValue(numerator // denominator, numerator, denominator, source)
+    @property
+    def value(self) -> int:
+        return self.numerator // self.denominator
 
 
 def _check_nk(n: int, k: int) -> None:
@@ -50,21 +49,21 @@ def ex_arcs_clique(n: int, k: int) -> ExactValue:
     """Maximum edges of an undirected graph of order n with no (k+1)-clique."""
     _check_nk(n, k)
     r = n % k
-    return _exact((k - 1) * n * n - r * (k - r), 2 * k, "thm1.1")
+    return ExactValue((k - 1) * n * n - r * (k - r), 2 * k, "thm1.1")
 
 
 def ex_arcs_complete_digraph(n: int, k: int) -> ExactValue:
     """Maximum arcs with no complete digraph on k+1 vertices."""
     _check_nk(n, k)
     r = n % k
-    return _exact(k * n * (n - 1) + (k - 1) * n * n - r * (k - r), 2 * k, "thm1.2")
+    return ExactValue(k * n * (n - 1) + (k - 1) * n * n - r * (k - r), 2 * k, "thm1.2")
 
 
 def ex_arcs_tournament(n: int, k: int) -> ExactValue:
     """Maximum arcs with no (k+1)-vertex tournament; twice the clique bound."""
     _check_nk(n, k)
     r = n % k
-    return _exact((k - 1) * n * n - r * (k - r), k, "thm1.2")
+    return ExactValue((k - 1) * n * n - r * (k - r), k, "thm1.2")
 
 
 def ex_arcs_ck(n: int, k: int) -> ExactValue:
@@ -80,7 +79,7 @@ def ex_arcs_ck(n: int, k: int) -> ExactValue:
     if k == 2:
         return ex_arcs_tournament(n, 2)
     r = n % k
-    return _exact(n * n + (k - 2) * n - r * (k - r), 2, "thm1.3")
+    return ExactValue(n * n + (k - 2) * n - r * (k - r), 2, "thm1.3")
 
 
 def ex_le_cubic(n: int, k: int) -> ExactValue:
@@ -99,17 +98,17 @@ def ex_le_cubic(n: int, k: int) -> ExactValue:
         - 3 * k * r * r
         - k * k * r
     )
-    return _exact(num, 6, "thm1.4")
+    return ExactValue(num, 6, "thm1.4")
 
 
 def ex_le_ck(n: int, k: int) -> ExactValue:
     """Maximum Laplacian energy of an n-vertex digraph with no directed (k+1)-cycle."""
     _check_nk(n, k)
     if k == 1:
-        return _exact(n * (n - 1) * (2 * n - 1), 6, "thm1.5")
+        return ExactValue(n * (n - 1) * (2 * n - 1), 6, "thm1.5")
     if k == 2:
         q = n // 2
-        return _exact(2 * q * (3 * n * n - 6 * q * n + 4 * q * q + 2), 3, "thm1.6")
+        return ExactValue(2 * q * (3 * n * n - 6 * q * n + 4 * q * q + 2), 3, "thm1.6")
     return ex_le_cubic(n, k)
 
 
@@ -118,4 +117,4 @@ def ex_m1_c3(n: int) -> ExactValue:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     q = n // 2
-    return _exact(2 * q * (3 * n * n - 6 * q * n + 4 * q * q - 1), 3, "lemma2.1")
+    return ExactValue(2 * q * (3 * n * n - 6 * q * n + 4 * q * q - 1), 3, "lemma2.1")

@@ -11,8 +11,9 @@ squaring the integer Laplacian, so the identity test is non-circular.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from stlab.digraph import DegreeSequence, Digraph, digon_count, out_degree_sequence
+from stlab.digraph import Digraph, digon_count, out_degree_sequence
 
 
 def c2(g: Digraph) -> int:
@@ -52,37 +53,34 @@ def trace_L_squared(g: Digraph) -> int:
     return sum(square[i][i] for i in rng)
 
 
-def sd_t(seq: DegreeSequence, t: int) -> int:
-    """Sum of the t largest values, 1 <= t <= n."""
+def sd_t(seq: Sequence[int], t: int) -> int:
+    """Sum of the t largest entries of an integer sequence of length n, 1 <= t <= n."""
     if not 1 <= t <= len(seq):
         raise ValueError(f"t must be in 1..{len(seq)}, got {t}")
-    return seq.prefix[t]
+    return sum(sorted(seq, reverse=True)[:t])
 
 
 @dataclass(frozen=True)
 class InvariantBundle:
-    """All exact invariants of one digraph, bundled for reporting."""
+    """All exact invariants of one digraph, bundled for reporting.
 
-    le: int
+    degseq is the non-increasing outdegree sequence; le is derived as m1 + c2.
+    """
+
     m1: int
     c2: int
     e: int
-    degseq: DegreeSequence
+    degseq: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.le != self.m1 + self.c2:
-            raise ValueError("le must equal m1 + c2")
         if self.c2 % 2:
             raise ValueError("c2 must be even")
 
+    @property
+    def le(self) -> int:
+        """Laplacian energy."""
+        return self.m1 + self.c2
+
 
 def measure(g: Digraph) -> InvariantBundle:
-    walks = c2(g)
-    m1 = first_zagreb(g)
-    return InvariantBundle(
-        le=m1 + walks,
-        m1=m1,
-        c2=walks,
-        e=g.e,
-        degseq=out_degree_sequence(g),
-    )
+    return InvariantBundle(m1=first_zagreb(g), c2=c2(g), e=g.e, degseq=out_degree_sequence(g))

@@ -1,9 +1,9 @@
 """Majorization and the squared-sum comparison it licenses.
 
-Sequences are plain non-increasing integer sequences (tuples, lists, or
-DegreeSequence.values).  Only f(t) = t^2 is built in: it is the one
-strictly convex function the energy comparisons need, and keeping it fixed
-makes the contract exactly testable.
+Sequences are plain non-increasing integer sequences, such as the tuples
+that digraph.out_degree_sequence returns.  Only f(t) = t^2 is built in: it
+is the one strictly convex function the energy comparisons need, and
+keeping it fixed makes the contract exactly testable.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import Sequence
 
+from stlab.digraph import out_degree_sequence
 # gen_fnk stays importable here: perfbench's tracer wraps it at this site.
 from stlab.families import enumerate_fnk_members, gen_fnk
 from stlab.invariants import laplacian_energy
@@ -80,7 +81,7 @@ def verify_fnk_ordering(n: int, k: int) -> list[tuple[int, int]]:
             )
     # Majorization between equal-length sequences is transitive, so the
     # consecutive chain implies every later placement majorizes every earlier one.
-    seqs = [sorted(map(int.bit_count, g.rows), reverse=True) for g in members]
+    seqs = [out_degree_sequence(g) for g in members]
     for s in range(q):
         if not majorizes(seqs[s + 1], seqs[s]):
             raise ArithmeticError(

@@ -94,6 +94,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from stlab.cycles import find_cycle_of_length, path_ends
@@ -271,10 +272,10 @@ def _next_level(level: Level, length: int, objective: str, threshold: int) -> Le
 class ExtremalSearchReport:
     """Outcome of one exhaustive extremal search.
 
-    Witnesses are the canonical representatives of every isomorphism class
-    attaining the maximum, sorted by canonical bytes, so reports are fully
-    deterministic; witness_forms holds those canonical forms, in the same
-    order, so no caller needs to label a witness again.  searched_count is
+    witness_forms holds the canonical forms of every isomorphism class
+    attaining the maximum, sorted, so reports are fully deterministic and no
+    caller needs to label a witness again; witnesses decodes them, in the
+    same order, into their canonical representatives.  searched_count is
     2^(n(n-1)), the number of labelled digraphs the answer is exact over.
     elapsed_ms is wall-clock bookkeeping only and is kept out of the
     canonical JSON rendering.
@@ -285,10 +286,16 @@ class ExtremalSearchReport:
     objective: str
     scope: str
     max_value: int
-    witnesses: tuple[Digraph, ...]
     witness_forms: tuple[CanonicalForm, ...]
-    searched_count: int
     elapsed_ms: int
+
+    @cached_property
+    def witnesses(self) -> tuple[Digraph, ...]:
+        return tuple(form.to_digraph() for form in self.witness_forms)
+
+    @property
+    def searched_count(self) -> int:
+        return 1 << (self.n * (self.n - 1))
 
 
 def search_extremal(
@@ -319,7 +326,7 @@ def search_extremal(
     if n >= 6 and not allow_slow:
         raise ValueError(
             f"n={n} builds every isomorphism class above the descent thresholds, a count that "
-            "grows steeply with n (n=8, L=2, ARCS builds all 6,880 tournament classes in about 2 s); "
+            "grows steeply with n (n=8, L=2, ARCS builds all 6,880 tournament classes); "
             "enable it explicitly with allow_slow (--allow-slow)"
         )
     if jobs < 1:
@@ -353,9 +360,7 @@ def search_extremal(
         objective=obj,
         scope=scope,
         max_value=best,
-        witnesses=tuple(form.to_digraph() for form in forms),
         witness_forms=tuple(forms),
-        searched_count=1 << (n * (n - 1)),
         elapsed_ms=elapsed_ms,
     )
 

@@ -88,7 +88,7 @@ def bundle_json(bundle: InvariantBundle) -> dict:
         "m1": bundle.m1,
         "c2": bundle.c2,
         "e": bundle.e,
-        "degseq": list(bundle.degseq.values),
+        "degseq": list(bundle.degseq),
     }
 
 

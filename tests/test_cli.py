@@ -147,6 +147,38 @@ def test_formula(capsys):
     assert "--k is required" in err
 
 
+BK_423_ARCS = (
+    "0 2,0 3,0 4,0 5,0 6,0 7,0 8,1 2,1 3,1 4,1 5,1 6,1 7,1 8,2 0,2 1,2 4,2 5,2 6,2 7,"
+    "2 8,3 0,3 1,3 4,3 5,3 6,3 7,3 8,4 5,4 6,4 7,4 8,5 4,5 6,5 7,5 8,6 8,7 8,8 6,8 7"
+)
+
+STDOUT_PINS = {
+    "measure": (
+        ["measure", "fnk:n=5,k=2,s=3"],
+        '{\n  "schema": 1,\n  "le": 44,\n  "m1": 40,\n  "c2": 4,\n  "e": 12,\n'
+        '  "degseq": [\n    4,\n    4,\n    2,\n    2,\n    0\n  ]\n}\n',
+    ),
+    "formula": (
+        ["formula", "--quantity", "ex_le", "--n", "5", "--k", "2"],
+        '{\n  "schema": 1,\n  "quantity": "ex_le",\n  "n": 5,\n  "k": 2,\n  "value": 44,\n'
+        '  "numerator": 132,\n  "denominator": 3,\n  "source": "thm1.6"\n}\n',
+    ),
+    "gen": (
+        ["gen", "bk:parts=4+2+3", "--format", "json"],
+        '{\n  "schema": 1,\n  "n": 9,\n  "e": 40,\n  "arcs": [\n'
+        + ",\n".join(
+            "    [\n      {},\n      {}\n    ]".format(*arc.split()) for arc in BK_423_ARCS.split(",")
+        )
+        + "\n  ]\n}\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, expected", STDOUT_PINS.values(), ids=STDOUT_PINS.keys())
+def test_stdout_bytes(capsys, argv, expected):
+    assert run(capsys, *argv)[:2] == (0, expected)
+
+
 def test_search_stdout_and_file(tmp_path, capsys):
     code, out, _ = run(
         capsys, "search", "--n", "4", "--forbid-cycle", "4", "--objective", "le"
@@ -189,7 +221,7 @@ def test_verify_mismatch_lists_witness_classes(capsys, monkeypatch):
         if n != 3:
             return report
         empty = build_digraph(3, [])
-        return dataclasses.replace(report, witnesses=(empty,), witness_forms=(canonical_label(empty),))
+        return dataclasses.replace(report, witness_forms=(canonical_label(empty),))
 
     monkeypatch.setattr("stlab.claims.search_extremal", wrong_witnesses)
     code, out, _ = run(capsys, "verify", "thm1.5", "--n-max", "3")

@@ -58,9 +58,7 @@ def test_zagreb_bound_values():
 
 def test_exact_value_rejects_inexact_division():
     with pytest.raises(ArithmeticError):
-        ExactValue(value=2, numerator=7, denominator=3, source="x")
-    with pytest.raises(ValueError):
-        ExactValue(value=1, numerator=6, denominator=3, source="x")
+        ExactValue(numerator=7, denominator=3, source="x")
 
 
 def test_dispatcher_coherence():
