@@ -47,7 +47,7 @@ from stlab.majorization import verify_fnk_ordering
 from stlab.search import ISO_CAP, CanonicalForm, canonical_label, search_extremal
 
 TAGS = ("thm1.3", "thm1.4", "thm1.5", "thm1.6", "lemma2.1", "lemma3.1")
-# verify_theorem("thm1.6", 40) takes about 2.3 s at 54 MB peak RSS; 44 takes 7 s and 125 MB.
+# verify_theorem("thm1.6", 40) takes about 1.4 s at 28 MB peak RSS; 44 takes about 4 s and 53 MB.
 BK01_N_MAX = 40
 
 WITNESS_OK = "ok"

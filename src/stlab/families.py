@@ -15,13 +15,30 @@ each block carries its own internal pattern.
 
 Block order matters: distinct orderings are distinct (generally
 non-isomorphic) members, so enumerators walk compositions, not partitions.
+
+The enumerators build their members from shared rows, which is exact
+because a row depends only on its vertex, its block's start and its
+block's size (the block's own pattern plus every label after it):
+
+* ``enumerate_fnk_members``: in a complete block a row is every label from
+  the block's start on, minus the vertex itself, so it depends on the
+  vertex and the start alone.  Placement p's blocks start at 0, k, ...,
+  (p-1)k, c, c+k, ... with c = (p-1)k + r: the first c rows are those of
+  the residual-last member (its blocks start at multiples of k) and the
+  rest those of the residual-first member (its blocks start at r + jk).
+  So the two end placements are built, and every placement is a splice.
+* ``enumerate_bk01_members``: a cache local to the call maps a block's
+  (start, size) to its rows, and each composition concatenates entries.
+
+Every member still passes ``Digraph`` validation, and the one-member
+builders keep their per-row comprehension, which is faster for one chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate
+from functools import cache, lru_cache
+from itertools import accumulate, chain
 from typing import Callable, Iterator, Sequence
 
 from stlab.digraph import MAX_VERTICES, Digraph
@@ -116,13 +133,21 @@ def gen_fnk(n: int, k: int, r_position: int | None = None) -> Digraph:
 
 
 def enumerate_fnk_members(n: int, k: int) -> list[Digraph]:
-    """All members for the given order: q+1 residual placements, or one when r=0."""
+    """All members for the given order: q+1 residual placements, or one when r=0.
+
+    Placement p is the first (p-1)k + r rows of the residual-last member
+    followed by the remaining rows of the residual-first member.
+    """
     if k < 1 or n < 1:
         raise ValueError("n and k must be >= 1")
     q, r = divmod(n, k)
     if r == 0:
         return [gen_fnk(n, k)]
-    return [gen_fnk(n, k, pos) for pos in range(1, q + 2)]
+    if q == 0:
+        return [gen_fnk(n, k, 1)]
+    head = gen_fnk(n, k, q + 1).rows
+    tail = gen_fnk(n, k, 1).rows
+    return [Digraph(n, head[:c] + tail[c:]) for c in range(r, n + 1, k)]
 
 
 def gen_bk(parts: Sequence[int]) -> Digraph:
@@ -142,8 +167,7 @@ def bk01_compositions(n: int) -> list[tuple[int, ...]]:
     with parts from {4, 2} followed by one final part of 3 or 1.  Listed in
     descending lexicographic order.
     """
-    if n < 1:
-        raise ValueError(f"order n must be >= 1, got {n}")
+    _check_order(n)
 
     def even_parts(total: int) -> Iterator[tuple[int, ...]]:
         if total == 0:
@@ -161,7 +185,23 @@ def bk01_compositions(n: int) -> list[tuple[int, ...]]:
 
 
 def enumerate_bk01_members(n: int) -> list[Digraph]:
-    return [gen_bk(parts) for parts in bk01_compositions(n)]
+    """gen_bk of every bk01 composition of n, in bk01_compositions order.
+
+    Members share the rows of each block they have in common: a cache local
+    to the call maps a block's (start, size) to its rows.
+    """
+    full = (1 << n) - 1
+
+    @cache
+    def block_rows(start: int, size: int) -> tuple[int, ...]:
+        later = full >> (start + size) << (start + size)
+        return tuple([local << start | later for local in _bipartite_rows(size)])
+
+    members = []
+    for parts in bk01_compositions(n):
+        starts = accumulate(parts[:-1], initial=0)
+        members.append(Digraph(n, tuple(chain.from_iterable(map(block_rows, starts, parts)))))
+    return members
 
 
 def gen_transitive_tournament(n: int) -> Digraph:

@@ -55,6 +55,14 @@ class TestFnk:
         with pytest.raises(ValueError, match="must be >= 1"):
             enumerate_fnk_members(n, k)
 
+    def test_members_match_one_member_builder(self):
+        # The enumerator splices placements from the two end placements.
+        for n in range(1, 65):
+            for k in range(1, n + 2):
+                q, r = divmod(n, k)
+                want = [gen_fnk(n, k)] if r == 0 else [gen_fnk(n, k, pos) for pos in range(1, q + 2)]
+                assert enumerate_fnk_members(n, k) == want, (n, k)
+
     def test_members_share_arc_count(self):
         for n, k in ((5, 3), (7, 3), (10, 4), (9, 3)):
             sizes = {g.e for g in enumerate_fnk_members(n, k)}
@@ -101,6 +109,18 @@ class TestBk:
         assert bk01_compositions(4) == [(4,), (2, 2)]
         assert bk01_compositions(5) == [(4, 1), (2, 3), (2, 2, 1)]
         assert bk01_compositions(1) == [(1,)]
+
+    def test_compositions_reject_orders_above_capacity(self):
+        with pytest.raises(ValueError, match="order n must be >= 1"):
+            bk01_compositions(0)
+        for enumerate_parts in (bk01_compositions, enumerate_bk01_members):
+            with pytest.raises(ValueError, match="vertex count must be in 1..64, got 65"):
+                enumerate_parts(65)
+
+    def test_members_match_one_member_builder(self):
+        # The enumerator shares block rows between members through a cache local to the call.
+        for n in range(1, 29):
+            assert enumerate_bk01_members(n) == [gen_bk(parts) for parts in bk01_compositions(n)], n
 
     def test_members_share_energy(self):
         for n in range(1, 13):
