@@ -1,10 +1,24 @@
 """Command-line surface.
 
 Subcommands: gen, measure, free, formula, search, verify.  Exit codes are
-stable for CI: 0 success/PASS, 1 verification failure, 2 usage error.
-search and verify take --jobs, default 1; a value below 1 is a usage error
-on both, and any other value has no effect: the search oracle runs in one
-process.
+stable for CI: 0 success/PASS, 1 verification failure, 2 usage error; an
+input file that cannot be read and a --out that cannot be written are
+usage errors too.  search and verify take --jobs, default 1; a value below
+1 is a usage error on both, and any other value has no effect: the search
+oracle runs in one process.
+
+Dispatch: ``COMMANDS`` holds each subcommand's help line and the function
+that adds its arguments, and ``_build_parser`` builds the full parser from
+it.  When argv[0] names a subcommand, ``main`` builds only that
+subcommand's parser, with the prog the full parser gives it (``stlab
+<name>``), and calls its ``parse_known_args(argv[1:])``.  This is exact:
+the full parser's subparsers action takes every argument after the name,
+options included, hands them to the same parser the same way, and adds
+only ``command=<name>``, which ``set_defaults`` supplies here.  When
+arguments are left over, the full parser parses argv again, so the error
+names them in the top-level wording; any other argv (none, -h, an unknown
+name, a leading option) goes to the full parser directly.  A parser lives
+for one call only: building the one needed is the saving, not a cache.
 """
 
 from __future__ import annotations
@@ -172,34 +186,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if passed == len(rows) else EXIT_FAIL
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stlab",
-        description="Extremal Laplacian energy of digraphs with forbidden directed cycles.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a family member")
+def _add_gen(p: argparse.ArgumentParser) -> None:
     p.add_argument("spec", help="family spec, e.g. fnk:n=4,k=3,s=2 | bk:parts=4+2+3 | tt:n=7 | kd:n=5")
     p.add_argument("--format", choices=("arcs", "dot", "json"), default="arcs")
     p.set_defaults(fn=_cmd_gen)
 
-    p = sub.add_parser("measure", help="exact invariants of a digraph")
+
+def _add_measure(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="arclist file, '-' for stdin, or a family spec")
     p.set_defaults(fn=_cmd_measure)
 
-    p = sub.add_parser("free", help="check for a directed cycle of exact length")
+
+def _add_free(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="arclist file, '-' for stdin, or a family spec")
     p.add_argument("--len", type=int, required=True, help="cycle length to look for")
     p.set_defaults(fn=_cmd_free)
 
-    p = sub.add_parser("formula", help="evaluate a closed-form extremal value")
+
+def _add_formula(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quantity", choices=("ex_le", "ex_arcs", "ex_m1"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(fn=_cmd_formula)
 
-    p = sub.add_parser("search", help="exhaustive extremal search at small order")
+
+def _add_search(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--forbid-cycle", type=int, required=True, metavar="L")
     p.add_argument("--objective", choices=("le", "m1", "arcs"), required=True)
@@ -209,7 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(fn=_cmd_search)
 
-    p = sub.add_parser("verify", help="check a tagged claim over a grid of orders")
+
+def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("tag", choices=TAGS)
     p.add_argument("--n-max", type=int, default=5)
     p.add_argument("--k-max", type=int, default=5)
@@ -217,15 +229,47 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_jobs, default=1, help="must be >= 1; has no effect")
     p.set_defaults(fn=_cmd_verify)
 
+
+# name -> (help line, function adding the subcommand's arguments), in help order.
+COMMANDS = {
+    "gen": ("generate a family member", _add_gen),
+    "measure": ("exact invariants of a digraph", _add_measure),
+    "free": ("check for a directed cycle of exact length", _add_free),
+    "formula": ("evaluate a closed-form extremal value", _add_formula),
+    "search": ("exhaustive extremal search at small order", _add_search),
+    "verify": ("check a tagged claim over a grid of orders", _add_verify),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="stlab",
+        description="Extremal Laplacian energy of digraphs with forbidden directed cycles.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as ``_build_parser().parse_args`` does; a known subcommand builds only its own parser."""
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        parser = argparse.ArgumentParser(prog=f"stlab {name}")
+        COMMANDS[name][1](parser)
+        parser.set_defaults(command=name)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,10 +1,11 @@
+import argparse
 import dataclasses
 import io
 import json
 
 import pytest
 
-from stlab import families
+from stlab import cli, families
 from stlab.claims import TAGS
 from stlab.cli import main
 from stlab.digraph import build_digraph
@@ -282,3 +283,92 @@ def test_jobs_below_one_is_usage_error(capsys, argv):
 @pytest.mark.parametrize("argv", [SEARCH_ARGV, VERIFY_ARGVS["lemma3.1"]], ids=["search", "verify"])
 def test_jobs_two_is_accepted(capsys, argv):
     assert run(capsys, *argv, "--jobs", "2")[0] == 0
+
+
+def test_search_unwritable_out_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, *SEARCH_ARGV, "--out", str(tmp_path / "no-such-dir" / "x.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
+def test_measure_directory_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "measure", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+# Good and bad argvs for every subcommand, plus the argvs that bypass the lean parser.
+PARSER_ARGVS = (
+    [[], ["-h"], ["--he"], ["bogus"], ["--n", "4", "search"], ["-x"]]
+    + [[name, "--help"] for name in cli.COMMANDS]
+    + [[name] for name in cli.COMMANDS]
+    + [
+        SEARCH_ARGV,
+        SEARCH_ARGV + ["--connected-only", "--allow-slow", "--jobs", "2", "--out", "r.json"],
+        SEARCH_ARGV + ["--bogus"],
+        SEARCH_ARGV + ["extra"],
+        SEARCH_ARGV + ["--", "extra"],
+        SEARCH_ARGV + ["--jobs", "0"],
+        SEARCH_ARGV + ["--jobs", "x"],
+        SEARCH_ARGV + ["-h", "--bogus"],
+        ["search", "--n=5", "--forbid-cycle=3", "--objective=m1"],
+        ["search", "--n", "4", "--forb", "3", "--obj", "arcs"],
+        ["search", "--n", "4", "--o", "le", "--forbid-cycle", "3"],
+        ["search", "--n", "4", "--forbid-cycle", "3", "--objective", "xx"],
+        ["search", "--n", "x", "--forbid-cycle", "3", "--objective", "le"],
+        ["search", "--he"],
+        ["gen", "tt:n=3"],
+        ["gen", "--format=dot", "tt:n=3"],
+        ["gen", "tt:n=3", "--format", "png"],
+        ["gen", "tt:n=3", "tt:n=4"],
+        ["gen", "--", "tt:n=3"],
+        ["measure", "-"],
+        ["measure", "a.arcs", "b.arcs"],
+        ["free", "kd:n=3", "--len", "3"],
+        ["free", "kd:n=3"],
+        ["free", "kd:n=3", "--len", "x"],
+        ["formula", "--quantity", "ex_le", "--n", "5", "--k", "2"],
+        ["formula", "--q", "ex_m1", "--n", "5"],
+        ["formula", "--quantity", "bad", "--n", "5"],
+        ["formula", "--quantity", "ex_le", "--n", "5", "--k", "2", "--k", "3"],
+        ["verify", "thm1.6", "--n-max", "4"],
+        ["verify", "lemma3.1", "--n-max", "8", "--k-max", "4", "--oracle-cap", "0", "--jobs", "2"],
+        ["verify", "nope"],
+        ["verify", "thm1.6", "--jobs", "0"],
+        ["verify", "thm1.6", "--n", "4"],
+        ["verify", "thm1.6", "more"],
+    ]
+)
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        outcome = ("parsed", vars(parse(list(argv))))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return outcome + (captured.out, captured.err)
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "<none>")
+def test_lean_parse_matches_full_parser(capsys, argv):
+    lean = _parse_outcome(capsys, cli._parse, argv)
+    full = _parse_outcome(capsys, lambda args: cli._build_parser().parse_args(args), argv)
+    assert lean == full
+    if argv[1:] == ["--help"]:
+        assert lean[:2] == ("exit", 0) and lean[2].startswith(f"usage: stlab {argv[0]} [-h]")
+
+
+def test_known_subcommand_builds_one_parser_per_call(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        built.clear()
+        assert run(capsys, *SEARCH_ARGV)[0] == 0
+        assert built == ["stlab search"]
