@@ -13,6 +13,8 @@ addresses a vertex >= n or holds the loop (u, u).  The packed bit matrix
 that digon_count and in_rows transpose is converted to and from the row
 tuple in bulk: one byte per row at n <= 8, else one fixed-width ``array``
 item per row, at a stride of 16, 32 or 64 bits (_pack_rows, _unpack_rows).
+spliced_digon_counts masks two such packed matrices and their transposes
+to count the digons of each row splice of two digraphs without building it.
 """
 
 from __future__ import annotations
@@ -189,6 +191,42 @@ def _packed_transpose(g: Digraph) -> tuple[int, int, int]:
         swap = (transposed ^ (transposed >> shift)) & mask
         transposed ^= swap ^ (swap << shift)
     return stride, packed, transposed
+
+
+@lru_cache(maxsize=None)
+def _column_unit(n: int) -> int:
+    """Bit 0 of each of rows 0..n-1 at _transpose_layout(n)'s stride.
+
+    Times a column mask m < 2**stride, it is m in each of those rows.  One
+    entry per vertex count, so at most MAX_VERTICES entries.
+    """
+    stride, _ = _transpose_layout(n)
+    return sum(1 << (u * stride) for u in range(n))
+
+
+def spliced_digon_counts(head: Digraph, tail: Digraph, cuts: Iterable[int]) -> list[int]:
+    """digon_count(Digraph(n, head.rows[:c] + tail.rows[c:])) for each cut c, none of them built.
+
+    The splice's packed matrix is head's in the rows below c and tail's
+    from row c on.  The transpose of a row splice is the column splice of
+    the transposes, so the splice's transpose is head's in the columns
+    below c and tail's from column c on.  Each cut costs a few whole-int
+    masks and one popcount; the two ends are transposed once.
+    """
+    if head.n != tail.n:
+        raise ValueError(f"cannot splice n={head.n} rows with n={tail.n} rows")
+    stride, head_rows, head_cols = _packed_transpose(head)
+    _, tail_rows, tail_cols = _packed_transpose(tail)
+    unit = _column_unit(head.n)
+    # A splice is tail ^ ((head ^ tail) & mask): head's bits inside the mask, tail's outside.
+    diff_rows = head_rows ^ tail_rows
+    diff_cols = head_cols ^ tail_cols
+    counts = []
+    for c in cuts:
+        packed = tail_rows ^ (diff_rows & ((1 << (c * stride)) - 1))
+        transposed = tail_cols ^ (diff_cols & (((1 << c) - 1) * unit))
+        counts.append((packed & transposed).bit_count() // 2)
+    return counts
 
 
 def in_rows(g: Digraph) -> tuple[int, ...]:

@@ -27,6 +27,12 @@ block's size (the block's own pattern plus every label after it):
   the residual-last member (its blocks start at multiples of k) and the
   rest those of the residual-first member (its blocks start at r + jk).
   So the two end placements are built, and every placement is a splice.
+  ``fnk_placement_ends`` is the one place that states this rule; the
+  enumerator and ``majorization.verify_fnk_ordering`` both take the two
+  ends and the cuts from it.  The ordering check measures each splice from
+  the ends' packed matrices without building it: every row of a splice is
+  a row of a validated n-vertex ``Digraph``, so the splice needs no
+  validation of its own.
 * ``enumerate_bk01_members``: a cache local to the call maps a block's
   (start, size) to its rows, and each composition concatenates entries.
 
@@ -132,22 +138,34 @@ def gen_fnk(n: int, k: int, r_position: int | None = None) -> Digraph:
     return _block_chain(fnk_block_sizes(n, k, r_position), _complete_rows)
 
 
-def enumerate_fnk_members(n: int, k: int) -> list[Digraph]:
-    """All members for the given order: q+1 residual placements, or one when r=0.
+def fnk_placement_ends(n: int, k: int) -> tuple[Digraph, Digraph, range]:
+    """(head, tail, cuts): placement p is head.rows[:c] + tail.rows[c:] with c = cuts[p - 1].
 
-    Placement p is the first (p-1)k + r rows of the residual-last member
-    followed by the remaining rows of the residual-first member.
+    head is the residual-last member and tail the residual-first one, and
+    cuts[p - 1] = (p-1)k + r.  When there is one member (r = 0, or n < k),
+    head is tail is that member and cuts is [n].
     """
     if k < 1 or n < 1:
         raise ValueError("n and k must be >= 1")
     q, r = divmod(n, k)
     if r == 0:
-        return [gen_fnk(n, k)]
-    if q == 0:
-        return [gen_fnk(n, k, 1)]
-    head = gen_fnk(n, k, q + 1).rows
-    tail = gen_fnk(n, k, 1).rows
-    return [Digraph(n, head[:c] + tail[c:]) for c in range(r, n + 1, k)]
+        only = gen_fnk(n, k)
+        return only, only, range(n, n + 1)
+    head = gen_fnk(n, k, q + 1)
+    return head, head if q == 0 else gen_fnk(n, k, 1), range(r, n + 1, k)
+
+
+def enumerate_fnk_members(n: int, k: int) -> list[Digraph]:
+    """All members for the given order: q+1 residual placements, or one when r=0.
+
+    Placement p is the first (p-1)k + r rows of the residual-last member
+    followed by the remaining rows of the residual-first member
+    (fnk_placement_ends).
+    """
+    head, tail, cuts = fnk_placement_ends(n, k)
+    if head is tail:
+        return [head]
+    return [Digraph(n, head.rows[:c] + tail.rows[c:]) for c in cuts]
 
 
 def gen_bk(parts: Sequence[int]) -> Digraph:

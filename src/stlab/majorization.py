@@ -13,9 +13,9 @@ from enum import Enum
 from itertools import accumulate
 from typing import Sequence
 
-from stlab.digraph import out_degree_sequence
-# gen_fnk stays importable here: perfbench's tracer wraps it at this site.
-from stlab.families import enumerate_fnk_members, gen_fnk
+from stlab.digraph import spliced_digon_counts
+# gen_fnk and laplacian_energy stay importable here: perfbench's tracer wraps them at this site.
+from stlab.families import fnk_placement_ends, gen_fnk
 from stlab.invariants import laplacian_energy
 
 
@@ -58,22 +58,46 @@ def karamata_square_check(x: Sequence[int], y: Sequence[int]) -> KaramataVerdict
     return KaramataVerdict.HOLDS_STRICT
 
 
+def fnk_placement_measures(n: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(Laplacian energy, outdegree sequence) of each member of enumerate_fnk_members(n, k).
+
+    No member is built.  Member p is the row splice head.rows[:c] +
+    tail.rows[c:] of fnk_placement_ends, whose rows are rows of validated
+    digraphs, so it needs no validation.  Its energy is M1 + c2: M1 is a
+    prefix sum of head's squared outdegrees plus a suffix sum of tail's,
+    and c2 is twice spliced_digon_counts'.
+    """
+    head, tail, cuts = fnk_placement_ends(n, k)
+    head_degrees = list(map(int.bit_count, head.rows))
+    tail_degrees = list(map(int.bit_count, tail.rows))
+    head_m1 = list(accumulate([d * d for d in head_degrees], initial=0))
+    tail_m1 = list(accumulate([d * d for d in tail_degrees], initial=0))
+    return [
+        (
+            head_m1[c] + tail_m1[n] - tail_m1[c] + 2 * digons,
+            tuple(sorted(head_degrees[:c] + tail_degrees[c:], reverse=True)),
+        )
+        for c, digons in zip(cuts, spliced_digon_counts(head, tail, cuts))
+    ]
+
+
 def verify_fnk_ordering(n: int, k: int) -> list[tuple[int, int]]:
     """Laplacian energies of the residual-block placements, checked increasing.
 
     Returns [(s, LE of the member with the residual block at position s+1)]
     for s = 0..q.  Raises if the energies are not strictly increasing in s,
     or if a later placement fails to majorize an earlier one (prefix sums
-    of the outdegree sequence, checked between consecutive placements), or
-    when n % k == 0 and there is only the single member with nothing to
-    order.
+    of the outdegree sequence, checked between consecutive placements).
+    Raises ValueError unless n and k are >= 1, and when there is a single
+    member with nothing to order: n % k == 0, or n < k.  The placements
+    are measured by fnk_placement_measures, from the packed matrices of
+    the two end members, without building any placement.
     """
-    q, r = divmod(n, k)
-    if r == 0:
+    measures = fnk_placement_measures(n, k)
+    if len(measures) == 1:
         raise ValueError(f"n={n}, k={k}: single member, no ordering to verify")
-    members = enumerate_fnk_members(n, k)
-    energies = [laplacian_energy(g) for g in members]
-    for s in range(q):
+    energies, seqs = zip(*measures)
+    for s in range(len(measures) - 1):
         if not energies[s] < energies[s + 1]:
             raise ArithmeticError(
                 f"energy ordering violated at n={n}, k={k}: "
@@ -81,8 +105,7 @@ def verify_fnk_ordering(n: int, k: int) -> list[tuple[int, int]]:
             )
     # Majorization between equal-length sequences is transitive, so the
     # consecutive chain implies every later placement majorizes every earlier one.
-    seqs = [out_degree_sequence(g) for g in members]
-    for s in range(q):
+    for s in range(len(measures) - 1):
         if not majorizes(seqs[s + 1], seqs[s]):
             raise ArithmeticError(
                 f"majorization violated at n={n}, k={k}: "

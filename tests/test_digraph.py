@@ -11,6 +11,7 @@ from stlab.digraph import (
     is_weakly_connected,
     out_degree_sequence,
     permute,
+    spliced_digon_counts,
 )
 from stlab.families import gen_fnk, gen_transitive_tournament
 from stlab.search import digraph_from_mask, enumerate_digraphs
@@ -166,3 +167,12 @@ def test_in_rows_is_the_transpose_at_every_width(n):
         g = random_digraph(rng, n, p)
         assert in_rows(g) == naive_in_rows(g), (n, p)
         assert digon_count(g) == naive_digon_count(g), (n, p)
+    # Every row splice of two random digraphs, against the built splice.
+    head, tail = random_digraph(rng, n, 0.5), random_digraph(rng, n, 0.5)
+    built = [digon_count(Digraph(n, head.rows[:c] + tail.rows[c:])) for c in range(n + 1)]
+    assert spliced_digon_counts(head, tail, range(n + 1)) == built, n
+
+
+def test_splice_rejects_unequal_orders():
+    with pytest.raises(ValueError, match="cannot splice"):
+        spliced_digon_counts(gen_fnk(5, 2, 1), gen_fnk(6, 2), [3])

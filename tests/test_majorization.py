@@ -4,8 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stlab import majorization
-from stlab.families import gen_fnk
-from stlab.majorization import KaramataVerdict, karamata_square_check, majorizes, verify_fnk_ordering
+from stlab.digraph import out_degree_sequence
+from stlab.families import enumerate_fnk_members, gen_fnk
+from stlab.invariants import laplacian_energy
+from stlab.majorization import (
+    KaramataVerdict,
+    fnk_placement_measures,
+    karamata_square_check,
+    majorizes,
+    verify_fnk_ordering,
+)
 
 
 def sorted_seqs(max_len=10, max_val=20):
@@ -139,17 +147,44 @@ def test_ordering_single_member_notice():
         verify_fnk_ordering(4, 2)
 
 
+@pytest.mark.parametrize("n, k", [(2, 3), (1, 2)])
+def test_ordering_rejects_order_below_block_size(n, k):
+    # n < k leaves the residual block alone: one member, nothing to order.
+    with pytest.raises(ValueError, match="single member"):
+        verify_fnk_ordering(n, k)
+
+
+@pytest.mark.parametrize("n, k", [(5, 0), (0, 3)])
+def test_ordering_rejects_nonpositive_arguments(n, k):
+    with pytest.raises(ValueError, match="n and k must be >= 1"):
+        verify_fnk_ordering(n, k)
+
+
+def test_placement_measures_match_built_members():
+    # Every order and block size with a residual, including k > n, against the built members.
+    members = 0
+    for n in range(1, 65):
+        for k in range(1, n + 2):
+            if n % k == 0:
+                continue
+            built = [(laplacian_energy(g), out_degree_sequence(g)) for g in enumerate_fnk_members(n, k)]
+            assert fnk_placement_measures(n, k) == built, (n, k)
+            members += len(built)
+    assert members == 6565
+
+
 def test_ordering_reports_majorization_violation(monkeypatch):
     # Hand over the placements in reverse order with energies that still
     # increase, so the chain of outdegree sequences runs backwards.
     backwards = [gen_fnk(7, 3, s + 1) for s in reversed(range(3))]
-    monkeypatch.setattr(majorization, "enumerate_fnk_members", lambda n, k: backwards)
-    monkeypatch.setattr(majorization, "laplacian_energy", {g: s for s, g in enumerate(backwards)}.__getitem__)
+    measures = [(s, out_degree_sequence(g)) for s, g in enumerate(backwards)]
+    monkeypatch.setattr(majorization, "fnk_placement_measures", lambda n, k: measures)
     with pytest.raises(ArithmeticError, match="majorization violated at n=7, k=3: placement 1"):
         verify_fnk_ordering(7, 3)
 
 
 def test_ordering_reports_energy_violation(monkeypatch):
-    monkeypatch.setattr(majorization, "laplacian_energy", lambda g: 0)
+    measures = fnk_placement_measures(7, 3)
+    monkeypatch.setattr(majorization, "fnk_placement_measures", lambda n, k: [(0, seq) for _, seq in measures])
     with pytest.raises(ArithmeticError, match="energy ordering violated at n=7, k=3"):
         verify_fnk_ordering(7, 3)
