@@ -19,7 +19,6 @@ from stlab.families import (
     enumerate_bk01_members,
     enumerate_fnk_members,
     family_blocks,
-    format_family_spec,
     gen_bk,
     gen_complete_digraph,
     gen_fnk,
@@ -43,7 +42,6 @@ from stlab.invariants import (
     laplacian_energy,
     laplacian_matrix,
     measure,
-    sd_t,
     trace_L_squared,
 )
 from stlab.majorization import KaramataVerdict, karamata_square_check, majorizes, verify_fnk_ordering

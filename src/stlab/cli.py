@@ -63,17 +63,16 @@ def _jobs(text: str) -> int:
     return value
 
 
-def _load_input(text: str) -> tuple[Digraph, FamilySpec | None]:
+def _load_input(text: str) -> Digraph:
     """Resolve a positional input: family spec string, '-' (stdin), or path."""
     if text.split(":", 1)[0] in FAMILY_KINDS and ":" in text:
-        spec = parse_family_spec(text)
-        return build_family(spec), spec
+        return build_family(parse_family_spec(text))
     if text == "-":
-        return parse_arclist(sys.stdin.read()), None
+        return parse_arclist(sys.stdin.read())
     path = Path(text)
     if not path.exists():
         raise ValueError(f"no such file: {text} (family specs look like 'fnk:n=4,k=3,s=2')")
-    return parse_arclist(path.read_text()), None
+    return parse_arclist(path.read_text())
 
 
 def _block_map(spec: FamilySpec) -> dict[int, int]:
@@ -97,13 +96,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    g, _ = _load_input(args.input)
+    g = _load_input(args.input)
     sys.stdout.write(dumps(bundle_json(measure(g))))
     return EXIT_OK
 
 
 def _cmd_free(args: argparse.Namespace) -> int:
-    g, _ = _load_input(args.input)
+    g = _load_input(args.input)
     witness = find_cycle_of_length(g, args.len)
     if witness is None:
         print(f"C{args.len}-free")

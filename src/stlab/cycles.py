@@ -12,8 +12,8 @@ one packed block-swap transpose per call.  The components come from two
 Kosaraju passes that each visit every vertex once: a depth-first search
 along the rows records finish order, then bitset closures backward along
 the in-rows, taken in reverse finish order, peel off one component each.
-The return distances are a bitset BFS from the anchor along the in-rows,
-one OR per vertex reached.
+The return prune is a bitset BFS from the anchor along the in-rows that
+keeps layer d, the vertices at most d arcs from it, up to the closure.
 
 path_ends gives, per vertex, where the simple paths of an exact arc count
 from it end; the search oracle uses it to keep one-vertex extensions
@@ -76,26 +76,24 @@ def _strong_components(g: Digraph, into: Sequence[int]) -> list[int]:
     return comps
 
 
-def _distances_to(into: Sequence[int], anchor: int, allowed: int) -> list[int]:
-    """Shortest arc-count from each allowed vertex to the anchor, inf = n + 1."""
-    dist = [len(into) + 1] * len(into)
-    dist[anchor] = 0
+def _reach_layers(into: Sequence[int], anchor: int, allowed: int) -> list[int]:
+    """Entry d: the anchor and the allowed vertices with a path of at most d arcs to it inside ``allowed``."""
     seen = frontier = 1 << anchor
-    step = 0
-    while frontier:
-        step += 1
+    layers = [seen]
+    while True:
         grown = 0
         for x in _iter_bits(frontier):
             grown |= into[x]
         frontier = grown & allowed & ~seen
+        if not frontier:
+            return layers
         seen |= frontier
-        for u in _iter_bits(frontier):
-            dist[u] = step
-    return dist
+        layers.append(seen)
 
 
 def _search_anchor(g: Digraph, into: Sequence[int], anchor: int, allowed: int, length: int) -> tuple[int, ...] | None:
-    dist = _distances_to(into, anchor, allowed)
+    near = _reach_layers(into, anchor, allowed)
+    top = len(near) - 1
     path = [anchor]
     used = 1 << anchor
 
@@ -104,9 +102,7 @@ def _search_anchor(g: Digraph, into: Sequence[int], anchor: int, allowed: int, l
         if depth == length - 1:
             return g.has_arc(v, anchor)
         budget = length - depth - 1
-        for w in _iter_bits(g.rows[v] & allowed & ~used):
-            if dist[w] > budget:
-                continue
+        for w in _iter_bits(g.rows[v] & near[min(budget, top)] & ~used):
             path.append(w)
             used |= 1 << w
             if extend(w, depth + 1):

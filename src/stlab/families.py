@@ -318,11 +318,3 @@ def parse_family_spec(text: str) -> FamilySpec:
     spec_block_sizes(spec)  # validate eagerly
     return spec
 
-
-def format_family_spec(spec: FamilySpec) -> str:
-    if spec.kind == "fnk":
-        suffix = f",s={spec.r_position}" if spec.r_position is not None else ""
-        return f"fnk:n={spec.n},k={spec.k}{suffix}"
-    if spec.kind == "bk":
-        return "bk:parts=" + "+".join(str(p) for p in spec.parts)
-    return f"{spec.kind}:n={spec.n}"

@@ -11,7 +11,6 @@ squaring the integer Laplacian, so the identity test is non-circular.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from stlab.digraph import Digraph, digon_count, out_degree_sequence
 
@@ -51,13 +50,6 @@ def trace_L_squared(g: Digraph) -> int:
     rng = range(g.n)
     square = [[sum(lap[i][t] * lap[t][j] for t in rng) for j in rng] for i in rng]
     return sum(square[i][i] for i in rng)
-
-
-def sd_t(seq: Sequence[int], t: int) -> int:
-    """Sum of the t largest entries of an integer sequence of length n, 1 <= t <= n."""
-    if not 1 <= t <= len(seq):
-        raise ValueError(f"t must be in 1..{len(seq)}, got {t}")
-    return sum(sorted(seq, reverse=True)[:t])
 
 
 @dataclass(frozen=True)

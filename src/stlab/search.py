@@ -107,7 +107,7 @@ from stlab.families import (
 )
 from stlab.invariants import first_zagreb, laplacian_energy
 
-ENUM_CAP = 6
+ENUM_CAP = 5
 ISO_CAP = 10
 OBJECTIVES = ("LE", "M1", "ARCS")
 SCOPES = ("all", "connected_only")

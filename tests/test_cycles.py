@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from stlab.cycles import _strong_components, find_cycle_of_length, is_ck_free, path_ends
-from stlab.digraph import Digraph, build_digraph, digon_count, in_rows, permute
+from stlab.cycles import _reach_layers, _strong_components, find_cycle_of_length, is_ck_free, path_ends
+from stlab.digraph import Digraph, _closure, build_digraph, digon_count, in_rows, permute
 from stlab.families import gen_bk, gen_complete_digraph, gen_fnk, gen_transitive_tournament
 from stlab.search import enumerate_digraphs
 
@@ -221,6 +221,54 @@ def test_strong_components_do_linear_work(chain):
         assert comps == naive_strong_components(g)
         assert into.reads == [1] * g.n
         assert rows.reads <= 2 * g.n
+
+
+def naive_return_distances(g, anchor, allowed):
+    """Arc count of the shortest path from each allowed vertex to the anchor inside ``allowed``, by BFS per vertex."""
+    dist = {anchor: 0}
+    for u in range(g.n):
+        if u == anchor or not allowed >> u & 1:
+            continue
+        seen, frontier, steps = {u}, [u], 0
+        while frontier and u not in dist:
+            steps += 1
+            ahead = []
+            for x in frontier:
+                for w in g.out_neighbors(x):
+                    if w == anchor:
+                        dist[u] = steps
+                    elif allowed >> w & 1 and w not in seen:
+                        seen.add(w)
+                        ahead.append(w)
+            frontier = ahead
+    return dist
+
+
+def test_reach_layers_match_per_vertex_distances():
+    rng = random.Random(89)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        g = random_digraph(rng, n, rng.choice((0.1, 0.2, 0.4, 0.7)))
+        anchor, allowed = rng.randrange(n), rng.getrandbits(n)
+        into = in_rows(g)
+        layers = _reach_layers(into, anchor, allowed)
+        dist = naive_return_distances(g, anchor, allowed)
+        assert max(dist.values()) == len(layers) - 1
+        for d, layer in enumerate(layers):
+            assert layer == sum(1 << u for u, du in dist.items() if du <= d), (g, anchor, allowed, d)
+        assert layers[-1] == _closure(into, anchor, allowed)
+
+
+def test_free_components_larger_than_the_length():
+    # Every strong component holds 8 vertices, so the size check skips none
+    # below L = 9 and the search runs to the end on each odd length.
+    g = gen_bk([8] * 8)
+    for length in range(2, 10):
+        witness = find_cycle_of_length(g, length)
+        if length % 2:
+            assert witness is None, length
+        else:
+            assert_valid_witness(g, witness, length)
 
 
 def test_detector_agrees_with_networkx():

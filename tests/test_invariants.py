@@ -1,10 +1,9 @@
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from stlab.digraph import build_digraph, digon_count, out_degree_sequence, permute
+from stlab.digraph import build_digraph, digon_count, permute
 from stlab.families import gen_bk, gen_complete_digraph, gen_fnk, gen_transitive_tournament
 from stlab.invariants import (
     c2,
@@ -12,7 +11,6 @@ from stlab.invariants import (
     laplacian_energy,
     laplacian_matrix,
     measure,
-    sd_t,
     trace_L_squared,
 )
 from stlab.search import digraph_from_mask, enumerate_digraphs
@@ -118,31 +116,6 @@ def test_arc_addition_monotonicity():
             assert c2(bigger) == c2(g) + 2
         else:
             assert c2(bigger) == c2(g)
-
-
-def test_sd_t_examples():
-    assert sd_t(out_degree_sequence(gen_transitive_tournament(4)), 2) == 5
-    seq = out_degree_sequence(gen_fnk(5, 2, 3))
-    assert sd_t(seq, 5) == 12 == gen_fnk(5, 2, 3).e
-    assert sd_t(seq, 1) == 4
-
-
-def test_sd_t_matches_best_t_subset():
-    # Any order and any signs: sd_t sorts for itself.
-    rng = random.Random(20261018)
-    for _ in range(200):
-        seq = [rng.randint(-5, 9) for _ in range(rng.randint(1, 7))]
-        rng.shuffle(seq)
-        for t in range(1, len(seq) + 1):
-            assert sd_t(seq, t) == max(map(sum, combinations(seq, t)))
-
-
-def test_sd_t_range_errors():
-    seq = out_degree_sequence(DIGON)
-    with pytest.raises(ValueError):
-        sd_t(seq, 0)
-    with pytest.raises(ValueError):
-        sd_t(seq, 3)
 
 
 def test_measure_bundle():

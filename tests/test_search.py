@@ -134,8 +134,9 @@ class TestMaskEncoding:
         assert len(seen) == count
 
     def test_enumeration_cap(self):
-        with pytest.raises(ValueError, match="capped"):
-            list(enumerate_digraphs(7))
+        for n in (6, 7):
+            with pytest.raises(ValueError, match="capped"):
+                list(enumerate_digraphs(n))
 
 
 class TestSweepKernel:
