@@ -36,8 +36,7 @@ the slower n >= 6 searches (search_extremal's allow_slow).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from stlab.digraph import MAX_VERTICES, Digraph
 from stlab.families import enumerate_bk01_members, enumerate_fnk_members, gen_fnk, gen_transitive_tournament
@@ -57,8 +56,7 @@ WITNESS_SKIPPED = "skipped"
 Forms = tuple[CanonicalForm, ...]
 
 
-@dataclass(frozen=True)
-class ClaimRow:
+class ClaimRow(NamedTuple):
     tag: str
     n: int
     k: int
@@ -72,8 +70,7 @@ class ClaimRow:
     extra: Forms = ()
 
 
-@dataclass(frozen=True)
-class ClaimSpec:
+class ClaimSpec(NamedTuple):
     """One oracle-checked claim: max of ``measure`` with no directed (k+1)-cycle.
 
     ``k`` is the claim's fixed k, or None for the grid k = 3..k_max.

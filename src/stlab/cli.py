@@ -152,7 +152,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         Path(args.out).write_text(text)
         print(
             f"max {report.objective} = {report.max_value} over {report.searched_count} digraphs, "
-            f"{len(report.witnesses)} witness class(es), {report.elapsed_ms} ms -> {args.out}"
+            f"{len(report.witness_forms)} witness class(es), {report.elapsed_ms} ms -> {args.out}"
         )
     else:
         sys.stdout.write(text)

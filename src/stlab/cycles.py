@@ -22,14 +22,12 @@ C_len-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from stlab.digraph import Digraph, _closure, _iter_bits, in_rows
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(NamedTuple):
     """Vertex sequence v0, ..., v_{len-1}; arc v_i -> v_{i+1} and v_last -> v0."""
 
     vertices: tuple[int, ...]

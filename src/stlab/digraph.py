@@ -2,9 +2,10 @@
 
 Vertices are dense integer labels 0..n-1.  Row ``u`` is a plain int whose
 bit ``v`` is set exactly when the arc (u, v) is present, so a whole
-out-neighbourhood fits in one machine word at the capacity limit.  Digraph
-values are immutable and hashable; every structural operation returns a
-fresh value.
+out-neighbourhood fits in one machine word at the capacity limit.  A
+Digraph is a NamedTuple (n, rows): immutable and hashable, it sorts as that
+tuple, and rows given as a list are stored as a tuple.  Every structural
+operation returns a fresh value.
 
 The per-row work of the core runs in C-level bulk calls, not in Python
 loops over the rows.  A Digraph validates all rows at once: row u ANDed
@@ -22,9 +23,8 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 64
 
@@ -53,27 +53,36 @@ def _closure(rows: Sequence[int], start: int, within: int) -> int:
     return seen
 
 
-@dataclass(frozen=True, order=True)
-class Digraph:
-    """Immutable digraph; instances compare and sort by (n, rows)."""
-
+class _DigraphFields(NamedTuple):
     n: int
     rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {self.n}")
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
-        if not any(map(operator.and_, self.rows, _FORBIDDEN[self.n])):
-            return
-        for u, row in enumerate(self.rows):
-            if row >> self.n:
-                raise ValueError(f"row {u} addresses vertices >= n={self.n}")
-            if row >> u & 1:
-                raise ValueError(f"loop arc ({u}, {u}) is not allowed")
 
-    @cached_property
+class Digraph(_DigraphFields):
+    """Immutable digraph; instances compare and sort by (n, rows)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, rows: Sequence[int]) -> Digraph:
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+        rows = tuple(rows)
+        if len(rows) != n:
+            raise ValueError(f"expected {n} rows, got {len(rows)}")
+        if any(map(operator.and_, rows, _FORBIDDEN[n])):
+            for u, row in enumerate(rows):
+                if row >> n:
+                    raise ValueError(f"row {u} addresses vertices >= n={n}")
+                if row >> u & 1:
+                    raise ValueError(f"loop arc ({u}, {u}) is not allowed")
+        return tuple.__new__(cls, (n, rows))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> Digraph:
+        # _replace builds through _make; validate there too.
+        return cls(*fields)
+
+    @property
     def e(self) -> int:
         """Number of arcs."""
         return sum(map(int.bit_count, self.rows))

@@ -42,18 +42,16 @@ builders keep their per-row comprehension, which is faster for one chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import accumulate, chain
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from stlab.digraph import MAX_VERTICES, Digraph
 
 FAMILY_KINDS = ("fnk", "bk", "tt", "kd")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Declarative description of one family member.
 
     kind "fnk" uses n, k and r_position (1-based index of the residual

@@ -13,27 +13,34 @@ of the forbidden length fits, so nothing is excluded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class ExactValue:
+class _ExactValueFields(NamedTuple):
+    numerator: int
+    denominator: int
+    source: str
+
+
+class ExactValue(_ExactValueFields):
     """Integer value numerator / denominator, with the claim it comes from.
 
     The division must be exact; value is its quotient.
     """
 
-    numerator: int
-    denominator: int
-    source: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.denominator <= 0:
+    def __new__(cls, numerator: int, denominator: int, source: str) -> ExactValue:
+        if denominator <= 0:
             raise ValueError("denominator must be positive")
-        if self.numerator % self.denominator:
-            raise ArithmeticError(
-                f"{self.source}: {self.numerator}/{self.denominator} is not an integer"
-            )
+        if numerator % denominator:
+            raise ArithmeticError(f"{source}: {numerator}/{denominator} is not an integer")
+        return tuple.__new__(cls, (numerator, denominator, source))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> ExactValue:
+        # _replace builds through _make; validate there too.
+        return cls(*fields)
 
     @property
     def value(self) -> int:

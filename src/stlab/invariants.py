@@ -10,7 +10,7 @@ squaring the integer Laplacian, so the identity test is non-circular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from stlab.digraph import Digraph, digon_count, out_degree_sequence
 
@@ -52,21 +52,30 @@ def trace_L_squared(g: Digraph) -> int:
     return sum(square[i][i] for i in rng)
 
 
-@dataclass(frozen=True)
-class InvariantBundle:
-    """All exact invariants of one digraph, bundled for reporting.
-
-    degseq is the non-increasing outdegree sequence; le is derived as m1 + c2.
-    """
-
+class _InvariantBundleFields(NamedTuple):
     m1: int
     c2: int
     e: int
     degseq: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.c2 % 2:
+
+class InvariantBundle(_InvariantBundleFields):
+    """All exact invariants of one digraph, bundled for reporting.
+
+    degseq is the non-increasing outdegree sequence; le is derived as m1 + c2.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, m1: int, c2: int, e: int, degseq: tuple[int, ...]) -> InvariantBundle:
+        if c2 % 2:
             raise ValueError("c2 must be even")
+        return tuple.__new__(cls, (m1, c2, e, degseq))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> InvariantBundle:
+        # _replace builds through _make; validate there too.
+        return cls(*fields)
 
     @property
     def le(self) -> int:

@@ -93,9 +93,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from stlab.cycles import find_cycle_of_length, path_ends
 from stlab.digraph import Digraph, _iter_bits, in_rows, is_weakly_connected
@@ -268,8 +266,7 @@ def _next_level(level: Level, length: int, objective: str, threshold: int) -> Le
     return grown
 
 
-@dataclass(frozen=True)
-class ExtremalSearchReport:
+class ExtremalSearchReport(NamedTuple):
     """Outcome of one exhaustive extremal search.
 
     witness_forms holds the canonical forms of every isomorphism class
@@ -289,7 +286,7 @@ class ExtremalSearchReport:
     witness_forms: tuple[CanonicalForm, ...]
     elapsed_ms: int
 
-    @cached_property
+    @property
     def witnesses(self) -> tuple[Digraph, ...]:
         return tuple(form.to_digraph() for form in self.witness_forms)
 
@@ -407,8 +404,7 @@ def _refine_colors(g: Digraph) -> list[int]:
         keys = [(color << width | out) << width | into for color, out, into in zip(colors, outs, ins)]
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Isomorphism-invariant serialization: equal bytes iff isomorphic."""
 
     data: bytes

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import io
 import json
 
@@ -222,7 +221,7 @@ def test_verify_mismatch_lists_witness_classes(capsys, monkeypatch):
         if n != 3:
             return report
         empty = build_digraph(3, [])
-        return dataclasses.replace(report, witness_forms=(canonical_label(empty),))
+        return report._replace(witness_forms=(canonical_label(empty),))
 
     monkeypatch.setattr("stlab.claims.search_extremal", wrong_witnesses)
     code, out, _ = run(capsys, "verify", "thm1.5", "--n-max", "3")

@@ -60,6 +60,13 @@ class TestBuild:
         with pytest.raises(ValueError, match="loop"):
             Digraph(2, (1, 0))  # bit 0 of row 0 is the loop (0, 0)
 
+    def test_list_rows_are_stored_as_a_tuple(self):
+        listed = Digraph(2, [2, 1])
+        assert type(listed.rows) is tuple
+        assert listed == Digraph(2, (2, 1)) and hash(listed) == hash(Digraph(2, (2, 1)))
+        rows = (2, 1)
+        assert Digraph(2, rows).rows is rows
+
     @pytest.mark.parametrize("n", [1, 8, 64])
     @pytest.mark.parametrize(
         "bad,message",
