@@ -66,7 +66,8 @@ class Digraph(_DigraphFields):
     def __new__(cls, n: int, rows: Sequence[int]) -> Digraph:
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
-        rows = tuple(rows)
+        if not isinstance(rows, tuple):
+            rows = tuple(rows)
         if len(rows) != n:
             raise ValueError(f"expected {n} rows, got {len(rows)}")
         if any(map(operator.and_, rows, _FORBIDDEN[n])):

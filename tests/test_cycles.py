@@ -220,7 +220,7 @@ def test_strong_components_do_linear_work(chain):
         comps = _strong_components(Digraph(g.n, rows), into)
         assert comps == naive_strong_components(g)
         assert into.reads == [1] * g.n
-        assert rows.reads <= 2 * g.n
+        assert 0 < rows.reads <= 2 * g.n
 
 
 def naive_return_distances(g, anchor, allowed):
