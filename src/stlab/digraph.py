@@ -12,17 +12,24 @@ loops over the rows.  A Digraph validates all rows at once: row u ANDed
 with ``-(1 << n) | 1 << u`` is non-zero exactly when the row is negative,
 addresses a vertex >= n or holds the loop (u, u).  The packed bit matrix
 that digon_count and in_rows transpose is converted to and from the row
-tuple in bulk: one byte per row at n <= 8, else one fixed-width ``array``
-item per row, at a stride of 16, 32 or 64 bits (_pack_rows, _unpack_rows).
+tuple by one ``struct`` call: one little-endian unsigned field per row, of
+8 bits at n <= 8, else of 16, 32 or 64 bits (_transpose_layout).
 spliced_digon_counts masks two such packed matrices and their transposes
 to count the digons of each row splice of two digraphs without building it.
+
+Relabelling has one bulk primitive, _relabelled_rows(ins, order): moving
+vertex order[p] to position p permutes both the rows and the columns of the
+matrix.  The in-rows taken in position order are the transpose of the
+column-permuted matrix, so one packed transpose gives that matrix, and its
+rows taken in the same order are the relabelled rows.  permute goes through
+it, and so does every leaf of search.canonical_label, which has the in-rows
+from its colour refinement; neither sets one bit per arc.
 """
 
 from __future__ import annotations
 
 import operator
-import sys
-from array import array
+import struct
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -128,46 +135,19 @@ def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     return Digraph(n, tuple(rows))
 
 
-# Array typecode per item size in bytes, for rows wider than one byte.
-_TYPECODES = {array(code).itemsize: code for code in "HILQ"}
-if not {2, 4, 8} <= _TYPECODES.keys():
-    raise ImportError(f"array lacks a typecode of 2, 4 or 8 bytes: {_TYPECODES}")
-_BIG_ENDIAN = sys.byteorder == "big"
-
-
-def _pack_rows(rows: Sequence[int], stride: int) -> int:
-    """One int holding row u at bits [u * stride, (u + 1) * stride); stride is 8, 16, 32 or 64.
-
-    The rows become one byte each (stride 8) or fixed-width unsigned array
-    items, whose bytes are read as one little-endian int; a big-endian host
-    swaps each item's bytes first.
-    """
-    if stride == 8:
-        return int.from_bytes(bytes(rows), "little")
-    items = array(_TYPECODES[stride // 8], rows)
-    if _BIG_ENDIAN:
-        items.byteswap()
-    return int.from_bytes(items, "little")
-
-
-def _unpack_rows(packed: int, stride: int, count: int) -> tuple[int, ...]:
-    """The first ``count`` stride-bit rows of ``packed``: the inverse of _pack_rows."""
-    data = packed.to_bytes(count * stride // 8, "little")
-    if stride == 8:
-        return tuple(data)
-    items = array(_TYPECODES[stride // 8], data)
-    if _BIG_ENDIAN:
-        items.byteswap()
-    return tuple(items)
+# struct format code of an unsigned row field per stride in bits.
+_ROW_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 @lru_cache(maxsize=None)
-def _transpose_layout(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(stride, rounds) of the packed transpose of an n x n bit matrix.
+def _transpose_layout(n: int) -> tuple[int, struct.Struct, tuple[tuple[int, int], ...]]:
+    """(stride, codec, rounds) of the packed transpose of an n x n bit matrix.
 
     The matrix is taken as size x size, size the next power of two >= n,
-    with rows at a stride of max(8, size) bits so that a row is whole bytes
-    for _pack_rows.  Round j of the log2(size) block-swap rounds exchanges
+    with rows at a stride of max(8, size) bits so that a row is a whole
+    field of codec: n little-endian unsigned stride-bit fields, so the
+    packed int holds row u at bits [u * stride, (u + 1) * stride) on any
+    host.  Round j of the log2(size) block-swap rounds exchanges
     bit j of the row and column indices: its mask marks cells (u, v) with
     u & j == 0 and v & j != 0, whose partners (u + j, v - j) sit
     j * (stride - 1) bits higher (Warren, Hacker's Delight, section 7-3).
@@ -182,25 +162,44 @@ def _transpose_layout(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         mask = sum(cols << (u * stride) for u in range(size) if not u & j)
         rounds.append((j * (stride - 1), mask))
         j <<= 1
-    return stride, tuple(rounds)
+    return stride, struct.Struct(f"<{n}{_ROW_CODES[stride]}"), tuple(rounds)
 
 
-def _packed_transpose(g: Digraph) -> tuple[int, int, int]:
-    """(stride, A, A^T): the rows packed at ``stride`` bits apart, and their transpose.
+def _packed_transpose(rows: Sequence[int]) -> tuple[int, int, int]:
+    """(stride, A, A^T): the n rows of an n x n bit matrix packed at ``stride`` bits apart, and their transpose.
 
-    Packing and unpacking go through bytes or fixed-width ``array`` items
-    in little-endian byte order (_pack_rows, _unpack_rows).  The transpose
-    is log2(size) masked block swaps of the packed int, size the next power
-    of two >= n (_transpose_layout).  Bits at columns >= n, and rows >= n
-    of A^T, are zero.
+    The rows are packed by one call of the layout's codec, and the
+    transpose is log2(size) masked block swaps of the packed int, size the
+    next power of two >= n (_transpose_layout).  Bits at columns >= n, and
+    rows >= n of A^T, are zero, so _unpack_rows reads A^T back as n rows.
     """
-    stride, rounds = _transpose_layout(g.n)
-    packed = _pack_rows(g.rows, stride)
+    stride, codec, rounds = _transpose_layout(len(rows))
+    packed = int.from_bytes(codec.pack(*rows), "little")
     transposed = packed
     for shift, mask in rounds:
         swap = (transposed ^ (transposed >> shift)) & mask
         transposed ^= swap ^ (swap << shift)
     return stride, packed, transposed
+
+
+def _unpack_rows(packed: int, n: int) -> tuple[int, ...]:
+    """The n rows of a packed n x n bit matrix: the inverse of the packing in _packed_transpose."""
+    codec = _transpose_layout(n)[1]
+    return codec.unpack(packed.to_bytes(codec.size, "little"))
+
+
+def _relabelled_rows(ins: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """Rows of the digraph with in-rows ``ins`` after vertex order[p] moves to position p.
+
+    Row p has bit q set exactly when (order[p], order[q]) is an arc.  The
+    in-rows taken in position order are the transpose of the column-permuted
+    matrix, whose row u has bit q set exactly when (u, order[q]) is an arc;
+    one packed transpose gives that matrix, and its rows taken in the same
+    order are the relabelled rows.
+    """
+    _, _, transposed = _packed_transpose([ins[v] for v in order])
+    cols = _unpack_rows(transposed, len(order))
+    return tuple([cols[v] for v in order])
 
 
 @lru_cache(maxsize=None)
@@ -210,7 +209,7 @@ def _column_unit(n: int) -> int:
     Times a column mask m < 2**stride, it is m in each of those rows.  One
     entry per vertex count, so at most MAX_VERTICES entries.
     """
-    stride, _ = _transpose_layout(n)
+    stride = _transpose_layout(n)[0]
     return sum(1 << (u * stride) for u in range(n))
 
 
@@ -225,8 +224,8 @@ def spliced_digon_counts(head: Digraph, tail: Digraph, cuts: Iterable[int]) -> l
     """
     if head.n != tail.n:
         raise ValueError(f"cannot splice n={head.n} rows with n={tail.n} rows")
-    stride, head_rows, head_cols = _packed_transpose(head)
-    _, tail_rows, tail_cols = _packed_transpose(tail)
+    stride, head_rows, head_cols = _packed_transpose(head.rows)
+    _, tail_rows, tail_cols = _packed_transpose(tail.rows)
     unit = _column_unit(head.n)
     # A splice is tail ^ ((head ^ tail) & mask): head's bits inside the mask, tail's outside.
     diff_rows = head_rows ^ tail_rows
@@ -241,8 +240,8 @@ def spliced_digon_counts(head: Digraph, tail: Digraph, cuts: Iterable[int]) -> l
 
 def in_rows(g: Digraph) -> tuple[int, ...]:
     """In-neighbour bitmask per vertex: bit u of entry v is set exactly when (u, v) is an arc."""
-    stride, _, transposed = _packed_transpose(g)
-    return _unpack_rows(transposed, stride, g.n)
+    _, _, transposed = _packed_transpose(g.rows)
+    return _unpack_rows(transposed, g.n)
 
 
 def digon_count(g: Digraph) -> int:
@@ -251,7 +250,7 @@ def digon_count(g: Digraph) -> int:
     Half the popcount of A & A^T, with A^T the packed transpose that in_rows
     unpacks (the diagonal is empty because loops are not allowed).
     """
-    _, packed, transposed = _packed_transpose(g)
+    _, packed, transposed = _packed_transpose(g.rows)
     return (packed & transposed).bit_count() // 2
 
 
@@ -260,13 +259,8 @@ def permute(g: Digraph, perm: Sequence[int]) -> Digraph:
     perm = tuple(perm)
     if sorted(perm) != list(range(g.n)):
         raise ValueError("mapping is not a permutation of 0..n-1")
-    rows = [0] * g.n
-    for u in range(g.n):
-        target = 0
-        for v in _iter_bits(g.rows[u]):
-            target |= 1 << perm[v]
-        rows[perm[u]] = target
-    return Digraph(g.n, tuple(rows))
+    order = sorted(range(g.n), key=perm.__getitem__)  # order[perm[u]] = u
+    return Digraph(g.n, _relabelled_rows(in_rows(g), order))
 
 
 def is_weakly_connected(g: Digraph) -> bool:

@@ -119,6 +119,16 @@ class TestStructure:
         with pytest.raises(ValueError, match="permutation"):
             permute(build_digraph(2, []), (0, 0))
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 9, 16, 17, 32, 33, 64])
+    def test_permute_matches_per_arc_relabelling(self, n):
+        # Orders at and just past each transpose width (8, 16, 32, 64 bits).
+        rng = random.Random(n)
+        for density in (0.05, 0.3, 0.5, 0.7, 0.95):
+            for _ in range(4):
+                g = random_digraph(rng, n, density)
+                perm = rng.sample(range(n), n)
+                assert permute(g, perm) == build_digraph(n, [(perm[u], perm[v]) for u, v in g.arcs()])
+
 
 @given(masked_digraphs())
 def test_degree_sums_match_arc_count(g):

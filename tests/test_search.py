@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from pathlib import Path
@@ -23,6 +24,7 @@ from stlab.search import (
     ISO_CAP,
     OBJECTIVES,
     SCOPES,
+    CanonicalForm,
     _deletion_keys,
     _refine_colors,
     _threshold_below,
@@ -51,6 +53,11 @@ def _union(g, h):
 
 def _relabelled(g, rng):
     return permute(g, rng.sample(range(g.n), g.n))
+
+
+def _relabel_by_arcs(g, perm):
+    """Arc (u, v) becomes (perm[u], perm[v]), one arc at a time: the reference for permute."""
+    return build_digraph(g.n, [(perm[u], perm[v]) for u, v in g.arcs()])
 
 
 def _reference_refine_colors(g):
@@ -90,10 +97,30 @@ def _reference_canonical_bytes(g):
     best = None
     for pick in itertools.product(*(itertools.permutations(c) for c in classes)):
         order = [v for block in pick for v in block]
-        rows = permute(g, [order.index(v) for v in range(g.n)]).rows
+        rows = _relabel_by_arcs(g, [order.index(v) for v in range(g.n)]).rows
         if best is None or rows < best:
             best = rows
     return bytes([g.n]) + b"".join(row.to_bytes(2, "big") for row in best)
+
+
+def _label_corpus():
+    """Seeded digraphs whose canonical bytes are pinned by one sha256.
+
+    Ten random digraphs per order n = 1..10 and density 0.05..0.95, then per
+    order K_n, the empty digraph, the transitive tournament, circulants and the
+    bk01 members, each also relabelled through the per-arc reference.
+    """
+    rng = random.Random(1907)
+    corpus = []
+    for n in range(1, 11):
+        for density in (0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95):
+            corpus += [random_digraph(rng, n, density) for _ in range(10)]
+        structured = [gen_complete_digraph(n), build_digraph(n, []), gen_transitive_tournament(n)]
+        structured += [_circulant(n, steps) for steps in ((1,), (1, 2), (1, 3), (2, 5)) if max(steps) < n]
+        structured += enumerate_bk01_members(n)
+        corpus += structured
+        corpus += [_relabel_by_arcs(g, rng.sample(range(n), n)) for g in structured]
+    return corpus
 
 
 def _reference_scan(n):
@@ -521,6 +548,29 @@ class TestCanonicalLabel:
         k10 = gen_complete_digraph(10)
         assert canonical_label(k10).to_digraph() == k10
 
+    def test_corpus_bytes_pinned(self):
+        # A label is the minimum over refinement-compatible relabellings, so a
+        # faster search must keep every byte: this digest was taken before the
+        # leaves relabelled through the packed transpose.
+        corpus = _label_corpus()
+        assert len(corpus) == 1194
+        digest = hashlib.sha256(b"".join(canonical_label(g).data for g in corpus)).hexdigest()
+        assert digest == "283cef5730048309de3676bf24246b3aa6fee38d7623a8f79304b08f85c15f49"
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"", b"\x05", b"\x02\x00\x02\x00\x01\xff", b"\x02\x00\x02\x00"],
+        ids=["empty", "rows-missing", "trailing-byte", "row-short"],
+    )
+    def test_malformed_form_rejected(self, data):
+        with pytest.raises(ValueError, match="bytes"):
+            CanonicalForm(data).to_digraph()
+
+    def test_form_decodes_big_endian_rows(self):
+        assert CanonicalForm(b"\x02\x00\x02\x00\x01").to_digraph() == DIGON
+        with pytest.raises(ValueError, match="loop"):
+            CanonicalForm(b"\x02\x00\x01\x00\x01").to_digraph()
+
 
 class TestRefinement:
     """The packed-count kernel gives the colours of the sorted-tuple refinement."""
@@ -528,13 +578,13 @@ class TestRefinement:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_digraph(self, n):
         for g in enumerate_digraphs(n):
-            assert _refine_colors(g) == _reference_refine_colors(g), g
+            assert _refine_colors(g, in_rows(g)) == _reference_refine_colors(g), g
 
     def test_random_digraphs(self):
         rng = random.Random(67)
         for _ in range(600):
             g = random_digraph(rng, rng.randint(1, 16), rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
-            assert _refine_colors(g) == _reference_refine_colors(g), g
+            assert _refine_colors(g, in_rows(g)) == _reference_refine_colors(g), g
 
     def test_structured_digraphs(self):
         inputs = []
@@ -548,7 +598,7 @@ class TestRefinement:
         rng = random.Random(71)
         for g in inputs:
             for h in (g, _relabelled(g, rng)):
-                assert _refine_colors(h) == _reference_refine_colors(h), h
+                assert _refine_colors(h, in_rows(h)) == _reference_refine_colors(h), h
 
 
 class TestCanonicalBytesMatchReference:
