@@ -28,9 +28,10 @@ Caps: n_max is at most MAX_VERTICES (64), the largest bit-row Digraph,
 and at most BK01_N_MAX (40) for thm1.6, whose rows hold every bk01 member
 of an order at once: their count grows by about 2.6x per 4 orders (10,946
 at n = 40, 28,657 at 44, about 3.5 million at 64).
-The oracle runs for n <= min(oracle_cap, ISO_CAP): oracle_cap defaults to
-5, and ISO_CAP (10) bounds the search, whose levels and witness classes are
-told apart by canonical_label.  A larger oracle_cap is the caller's opt-in to
+The oracle runs for n <= oracle_cap, which defaults to 5.  ISO_CAP (16)
+bounds the search, whose levels and witness classes are told apart by
+canonical_label, so an oracle_cap that would run it above ISO_CAP is an
+error, not a silent clamp.  A larger oracle_cap is the caller's opt-in to
 the slower n >= 6 searches (search_extremal's allow_slow).
 """
 
@@ -132,7 +133,12 @@ def verify_theorem(tag: str, n_max: int, k_max: int = 5, oracle_cap: int = 5) ->
         )
     if oracle_cap < 0:
         raise ValueError(f"oracle_cap must be >= 0, got {oracle_cap}")
-    rows = _grid_rows(tag, n_max, k_max, min(oracle_cap, ISO_CAP))
+    if min(oracle_cap, n_max) > ISO_CAP:
+        raise ValueError(
+            f"the oracle is capped at n <= ISO_CAP = {ISO_CAP}; oracle_cap {oracle_cap} "
+            f"with n_max {n_max} asks for n = {min(oracle_cap, n_max)}"
+        )
+    rows = _grid_rows(tag, n_max, k_max, oracle_cap)
     if not rows:
         raise ValueError(f"empty grid: {tag} has no rows with n <= {n_max} and k <= {k_max}")
     return rows

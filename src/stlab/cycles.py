@@ -13,7 +13,8 @@ Kosaraju passes that each visit every vertex once: a depth-first search
 along the rows records finish order, then bitset closures backward along
 the in-rows, taken in reverse finish order, peel off one component each.
 The return prune is a bitset BFS from the anchor along the in-rows that
-keeps layer d, the vertices at most d arcs from it, up to the closure.
+keeps layer d, the vertices at most d arcs from it, up to the closure;
+one primitive, digraph._reach_layers, gives both it and those closures.
 
 path_ends gives, per vertex, where the simple paths of an exact arc count
 from it end; the search oracle uses it to keep one-vertex extensions
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from stlab.digraph import Digraph, _closure, _iter_bits, in_rows
+from stlab.digraph import Digraph, _iter_bits, _reach_layers, in_rows
 
 
 class CycleWitness(NamedTuple):
@@ -67,26 +68,11 @@ def _strong_components(g: Digraph, into: Sequence[int]) -> list[int]:
     unassigned = (1 << g.n) - 1
     for v in reversed(order):
         if unassigned >> v & 1:
-            comp = _closure(into, v, unassigned)
+            comp = _reach_layers(into, v, unassigned)[-1]
             comps.append(comp)
             unassigned ^= comp
     comps.sort(key=lambda comp: comp & -comp)
     return comps
-
-
-def _reach_layers(into: Sequence[int], anchor: int, allowed: int) -> list[int]:
-    """Entry d: the anchor and the allowed vertices with a path of at most d arcs to it inside ``allowed``."""
-    seen = frontier = 1 << anchor
-    layers = [seen]
-    while True:
-        grown = 0
-        for x in _iter_bits(frontier):
-            grown |= into[x]
-        frontier = grown & allowed & ~seen
-        if not frontier:
-            return layers
-        seen |= frontier
-        layers.append(seen)
 
 
 def _search_anchor(g: Digraph, into: Sequence[int], anchor: int, allowed: int, length: int) -> tuple[int, ...] | None:

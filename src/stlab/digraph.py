@@ -47,17 +47,24 @@ def _iter_bits(word: int) -> Iterator[int]:
         word ^= low
 
 
-def _closure(rows: Sequence[int], start: int, within: int) -> int:
-    """Vertices of ``within`` that ``start`` reaches along ``rows`` inside ``within``, and ``start``."""
-    seen = 1 << start
-    frontier = seen
-    while frontier:
+def _reach_layers(rows: Sequence[int], start: int, within: int) -> list[int]:
+    """Entry d: ``start`` and the vertices it reaches in at most d steps along ``rows`` without leaving ``within``.
+
+    The last entry is the closure: every vertex ``start`` reaches there.
+    """
+    seen = frontier = 1 << start
+    layers = [seen]
+    while True:
         grown = 0
-        for u in _iter_bits(frontier):
-            grown |= rows[u]
+        while frontier:  # _iter_bits, inlined to skip a generator per layer
+            low = frontier & -frontier
+            grown |= rows[low.bit_length() - 1]
+            frontier ^= low
         frontier = grown & within & ~seen
+        if not frontier:
+            return layers
         seen |= frontier
-    return seen
+        layers.append(seen)
 
 
 class _DigraphFields(NamedTuple):
@@ -267,7 +274,7 @@ def is_weakly_connected(g: Digraph) -> bool:
     """True iff the underlying undirected graph is connected."""
     und = [row | into for row, into in zip(g.rows, in_rows(g))]
     full = (1 << g.n) - 1
-    return _closure(und, 0, full) == full
+    return _reach_layers(und, 0, full)[-1] == full
 
 
 def out_degree_sequence(g: Digraph) -> tuple[int, ...]:

@@ -6,7 +6,7 @@ import stlab.claims as claims
 from stlab.claims import BK01_N_MAX, TAGS, verify_theorem
 from stlab.cli import main
 from stlab.families import enumerate_bk01_members
-from stlab.search import search_extremal
+from stlab.search import ISO_CAP, search_extremal
 
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
 
@@ -82,6 +82,31 @@ def test_negative_oracle_cap_is_rejected(capsys):
     assert "oracle_cap must be >= 0" in captured.err
 
 
+def test_oracle_cap_above_iso_cap_is_rejected(capsys):
+    # The search labels with canonical_label, so it cannot run above ISO_CAP;
+    # asking for it is an error, never rows silently marked skipped.
+    with pytest.raises(ValueError, match=rf"ISO_CAP = {ISO_CAP}; oracle_cap 20 with n_max 20 asks for n = 20"):
+        verify_theorem("thm1.5", 20, oracle_cap=20)
+    with pytest.raises(ValueError, match=f"asks for n = {ISO_CAP + 1}"):
+        verify_theorem("thm1.5", ISO_CAP + 1, oracle_cap=64)
+    assert main(["verify", "thm1.5", "--n-max", "20", "--oracle-cap", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"ISO_CAP = {ISO_CAP}" in captured.err
+
+
+def test_oracle_cap_above_iso_cap_with_small_grid(monkeypatch):
+    # Only the orders the grid reaches count: a large cap with a small n_max is valid.
+    rows = verify_theorem("thm1.5", 8, oracle_cap=64)
+    assert [row.n for row in rows] == list(range(1, 9))
+    assert all(row.ok and row.witness == "ok" and row.oracle == row.formula for row in rows)
+    calls = []
+    monkeypatch.setattr(claims, "_grid_rows", lambda *args: calls.append(args) or ["rows"])
+    verify_theorem("thm1.5", 64, oracle_cap=ISO_CAP)
+    verify_theorem("thm1.5", 8, oracle_cap=64)
+    assert [args[-1] for args in calls] == [ISO_CAP, 64]
+
+
 def test_thm16_order_bound(capsys, monkeypatch):
     # thm1.6 holds every bk01 member of an order at once, so its n_max stops
     # at BK01_N_MAX, checked before any row is computed.
@@ -112,6 +137,16 @@ def test_oracle_runs_every_row_to_n8(tag):
     rows = verify_theorem(tag, 8, k_max=5, oracle_cap=8)
     assert all(row.ok for row in rows)
     assert not [row for row in rows if row.n <= 8 and (row.oracle is None or row.witness == "skipped")]
+
+
+@pytest.mark.parametrize("tag", ["lemma2.1", "thm1.6"])
+def test_oracle_runs_at_n11(tag):
+    # n = 11 is above the orders the tier-1 grids reach elsewhere; each tag takes about a second.
+    rows = verify_theorem(tag, 11, oracle_cap=11)
+    assert all(row.ok for row in rows)
+    (top,) = [row for row in rows if row.n == 11]
+    assert top.oracle == top.formula
+    assert top.witness == "ok"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -398,7 +399,7 @@ class TestIsomorphism:
     def test_errors(self):
         with pytest.raises(ValueError, match="order mismatch"):
             are_isomorphic(DIGON, build_digraph(3, []))
-        big = build_digraph(11, [])
+        big = build_digraph(ISO_CAP + 1, [])
         with pytest.raises(ValueError, match="capped"):
             are_isomorphic(big, big)
 
@@ -525,8 +526,9 @@ class TestCanonicalLabel:
         assert verdicts == {True, False}
 
     def test_cap(self):
+        assert ISO_CAP == 8 * search.ROW_BYTES == 16
         with pytest.raises(ValueError, match="capped"):
-            canonical_label(build_digraph(11, []))
+            canonical_label(build_digraph(ISO_CAP + 1, []))
 
     @pytest.mark.parametrize(
         "g",
@@ -536,13 +538,20 @@ class TestCanonicalLabel:
             _circulant(10, (1,)),
             _circulant(10, (1, 3)),
             gen_bk([4, 4, 2]),
+            gen_complete_digraph(ISO_CAP),
+            build_digraph(ISO_CAP, []),
+            functools.reduce(_union, [_circulant(4, (1,))] * 4),
         ],
-        ids=["K10", "empty10", "C10", "circulant10-1-3", "bk4-4-2"],
+        ids=["K10", "empty10", "C10", "circulant10-1-3", "bk4-4-2", "K16", "empty16", "4xC4"],
     )
     def test_symmetric_inputs_at_the_cap(self, g):
         rng = random.Random(g.e)
         first, second = _relabelled(g, rng), _relabelled(g, rng)
-        assert canonical_label(first) == canonical_label(second) == canonical_label(g)
+        form = canonical_label(first)
+        assert form == canonical_label(second) == canonical_label(g)
+        assert are_isomorphic(first, second)
+        # At n = ISO_CAP the form's rows use every bit of their ROW_BYTES.
+        assert canonical_label(form.to_digraph()) == form
 
     def test_complete_digraph_is_its_own_form(self):
         k10 = gen_complete_digraph(10)
