@@ -16,18 +16,17 @@ Each tag names one closed-form claim together with its extremal witnesses:
 
 The first five share one shape, so one ClaimSpec table row describes each:
 its k grid (3..k_max, or one fixed k), the search objective, the closed
-form, the expected witnesses and the measure that scores a witness.  One
-row loop checks them all: for each (n, k) it compares the closed form with
-the measure of every expected witness and, within the oracle cap, with the
-exhaustive search maximum over digraphs with no directed (k+1)-cycle, with
-witness sets matched up to isomorphism.  Rows beyond the cap keep their
-oracle columns marked "skipped" and still pass on the formula/generator
+form, the expected witnesses and the generator-side values.  One row loop
+checks them all: for each (n, k) it compares the closed form with every
+generator value and, within the oracle cap, with the exhaustive search
+maximum over digraphs with no directed (k+1)-cycle, with witness sets
+matched up to isomorphism.  thm1.3 and thm1.6 measure their many
+witnesses unbuilt (families.fnk_placement_arcs, bk01_energy_range) and
+build them for the oracle alone.  Rows beyond the cap keep their oracle
+columns marked "skipped" and still pass on the formula/generator
 comparison.  lemma3.1 has no oracle; its rows run the ordering check.
 
-Caps: n_max is at most MAX_VERTICES (64), the largest bit-row Digraph,
-and at most BK01_N_MAX (40) for thm1.6, whose rows hold every bk01 member
-of an order at once: their count grows by about 2.6x per 4 orders (10,946
-at n = 40, 28,657 at 44, about 3.5 million at 64).
+Caps: n_max is at most MAX_VERTICES (64), the largest bit-row Digraph.
 The oracle runs for n <= oracle_cap, which defaults to 5.  ISO_CAP (16)
 bounds the search, whose levels and witness classes are told apart by
 canonical_label, so an oracle_cap that would run it above ISO_CAP is an
@@ -40,15 +39,20 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from stlab.digraph import MAX_VERTICES, Digraph
-from stlab.families import enumerate_bk01_members, enumerate_fnk_members, gen_fnk, gen_transitive_tournament
+from stlab.families import (
+    bk01_energy_range,
+    enumerate_bk01_members,
+    enumerate_fnk_members,
+    fnk_placement_arcs,
+    gen_fnk,
+    gen_transitive_tournament,
+)
 from stlab.formulas import ExactValue, ex_arcs_ck, ex_le_ck, ex_m1_c3
 from stlab.invariants import first_zagreb, laplacian_energy
 from stlab.majorization import verify_fnk_ordering
 from stlab.search import ISO_CAP, CanonicalForm, canonical_label, search_extremal
 
 TAGS = ("thm1.3", "thm1.4", "thm1.5", "thm1.6", "lemma2.1", "lemma3.1")
-# verify_theorem("thm1.6", 40) takes about 1.4 s at 28 MB peak RSS; 44 takes about 4 s and 53 MB.
-BK01_N_MAX = 40
 
 WITNESS_OK = "ok"
 WITNESS_MISMATCH = "mismatch"
@@ -72,18 +76,19 @@ class ClaimRow(NamedTuple):
 
 
 class ClaimSpec(NamedTuple):
-    """One oracle-checked claim: max of ``measure`` with no directed (k+1)-cycle.
+    """One oracle-checked claim: max of ``objective`` with no directed (k+1)-cycle.
 
     ``k`` is the claim's fixed k, or None for the grid k = 3..k_max.
-    ``formula`` and ``members`` take (n, k); ``members`` lists the expected
-    extremal witnesses, and the generator column is the measure of the first.
+    ``formula``, ``members`` and ``values`` take (n, k); ``members`` lists
+    the expected extremal witnesses, built only for the oracle, and
+    ``values`` the generator side, whose first value is the generator column.
     """
 
     k: int | None
     objective: str
     formula: Callable[[int, int], ExactValue]
     members: Callable[[int, int], list[Digraph]]
-    measure: Callable[[Digraph], int]
+    values: Callable[[int, int], list[int]]
 
 
 def _fnk_extremal(n: int, k: int) -> list[Digraph]:
@@ -92,15 +97,32 @@ def _fnk_extremal(n: int, k: int) -> list[Digraph]:
     return [gen_fnk(n, k, q + 1 if r else None)]
 
 
+class _Measured(NamedTuple):
+    """Generator values of a claim with few members: the measure of each one, built."""
+
+    members: Callable[[int, int], list[Digraph]]
+    measure: Callable[[Digraph], int]
+
+    def __call__(self, n: int, k: int) -> list[int]:
+        return [self.measure(g) for g in self.members(n, k)]
+
+
 def _claim_specs() -> dict[str, ClaimSpec]:
     # Built per call, so a function patched on this module (as in tests, or
     # perfbench's tracer) is the one the rows call.
+    def tournament(n: int, k: int) -> list[Digraph]:
+        return [gen_transitive_tournament(n)]
+
     return {
-        "thm1.3": ClaimSpec(None, "ARCS", ex_arcs_ck, enumerate_fnk_members, lambda g: g.e),
-        "thm1.4": ClaimSpec(None, "LE", ex_le_ck, _fnk_extremal, laplacian_energy),
-        "thm1.5": ClaimSpec(1, "LE", ex_le_ck, lambda n, k: [gen_transitive_tournament(n)], laplacian_energy),
-        "thm1.6": ClaimSpec(2, "LE", ex_le_ck, lambda n, k: enumerate_bk01_members(n), laplacian_energy),
-        "lemma2.1": ClaimSpec(2, "M1", lambda n, k: ex_m1_c3(n), _fnk_extremal, first_zagreb),
+        "thm1.3": ClaimSpec(None, "ARCS", ex_arcs_ck, enumerate_fnk_members, fnk_placement_arcs),
+        "thm1.4": ClaimSpec(None, "LE", ex_le_ck, _fnk_extremal, _Measured(_fnk_extremal, laplacian_energy)),
+        "thm1.5": ClaimSpec(1, "LE", ex_le_ck, tournament, _Measured(tournament, laplacian_energy)),
+        "thm1.6": ClaimSpec(
+            2, "LE", ex_le_ck, lambda n, k: enumerate_bk01_members(n), lambda n, k: list(bk01_energy_range(n))
+        ),
+        "lemma2.1": ClaimSpec(
+            2, "M1", lambda n, k: ex_m1_c3(n), _fnk_extremal, _Measured(_fnk_extremal, first_zagreb)
+        ),
     }
 
 
@@ -126,11 +148,6 @@ def verify_theorem(tag: str, n_max: int, k_max: int = 5, oracle_cap: int = 5) ->
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > MAX_VERTICES:
         raise ValueError(f"n_max must be <= MAX_VERTICES = {MAX_VERTICES}, got {n_max}")
-    if tag == "thm1.6" and n_max > BK01_N_MAX:
-        raise ValueError(
-            "thm1.6 holds every bk01 member of an order at once; "
-            f"n_max must be <= BK01_N_MAX = {BK01_N_MAX}, got {n_max}"
-        )
     if oracle_cap < 0:
         raise ValueError(f"oracle_cap must be >= 0, got {oracle_cap}")
     if min(oracle_cap, n_max) > ISO_CAP:
@@ -152,13 +169,12 @@ def _grid_rows(tag: str, n_max: int, k_hi: int, oracle_cap: int) -> list[ClaimRo
     for k in range(3, k_hi + 1) if spec.k is None else (spec.k,):
         for n in range(1, n_max + 1):
             formula = spec.formula(n, k).value
-            members = spec.members(n, k)
-            values = [spec.measure(g) for g in members]
+            values = spec.values(n, k)
             oracle, witness, missing, extra = None, WITNESS_SKIPPED, (), ()
             if n <= oracle_cap:
                 report = search_extremal(n, k + 1, spec.objective, allow_slow=True)
                 oracle = report.max_value
-                missing, extra = _witness_diff(report.witness_forms, members)
+                missing, extra = _witness_diff(report.witness_forms, spec.members(n, k))
                 witness = WITNESS_MISMATCH if missing or extra else WITNESS_OK
             ok = set(values) == {formula} and (oracle in (None, formula)) and witness != WITNESS_MISMATCH
             rows.append(ClaimRow(tag, n, k, formula, values[0], oracle, witness, ok, missing, extra))

@@ -166,6 +166,18 @@ def enumerate_fnk_members(n: int, k: int) -> list[Digraph]:
     return [Digraph(n, head.rows[:c] + tail.rows[c:]) for c in cuts]
 
 
+def fnk_placement_arcs(n: int, k: int) -> list[int]:
+    """Arc count of each member of enumerate_fnk_members(n, k), none built.
+
+    Placement p has head's first c rows and tail's rest, so its arcs are a
+    prefix sum of head's outdegrees plus a suffix sum of tail's.
+    """
+    head, tail, cuts = fnk_placement_ends(n, k)
+    h = list(accumulate(map(int.bit_count, head.rows), initial=0))
+    t = list(accumulate(map(int.bit_count, tail.rows), initial=0))
+    return [h[c] + t[n] - t[c] for c in cuts]
+
+
 def gen_bk(parts: Sequence[int]) -> Digraph:
     """Chain of balanced complete bipartite blocks with forward domination.
 
@@ -198,6 +210,27 @@ def bk01_compositions(n: int) -> list[tuple[int, ...]]:
     else:
         combos = [pre + (last,) for last in (3, 1) for pre in even_parts(n - last)]
     return sorted(combos, reverse=True)
+
+
+def bk01_energy_range(n: int) -> tuple[int, int]:
+    """(min, max) Laplacian energy over the bk01 members of order n, none built.
+
+    A block of size s, sides a = ceil(s/2) and b = floor(s/2), with t later
+    vertices adds a(b+t)^2 + b(a+t)^2 + 2ab.  span[m] is the range over the
+    last m vertices; it holds only m of n's parity, so 3 and 1 end a chain.
+    """
+    _check_order(n)
+    span = {0: (0, 0)}
+    for m in range(2 - n % 2, n + 1, 2):
+        options = []
+        for s in (4, 3, 2, 1):
+            if m - s in span:
+                a, b, t = (s + 1) // 2, s // 2, m - s
+                block = a * (b + t) ** 2 + b * (a + t) ** 2 + 2 * a * b
+                lo, hi = span[m - s]
+                options += (lo + block, hi + block)
+        span[m] = min(options), max(options)
+    return span[n]
 
 
 def enumerate_bk01_members(n: int) -> list[Digraph]:

@@ -104,9 +104,17 @@ def verify_fnk_ordering(n: int, k: int) -> list[tuple[int, int]]:
                 f"LE(s={s})={energies[s]} !< LE(s={s + 1})={energies[s + 1]}"
             )
     # Majorization between equal-length sequences is transitive, so the
-    # consecutive chain implies every later placement majorizes every earlier one.
+    # consecutive chain implies every later placement majorizes every earlier
+    # one.  Each sequence is checked and summed once; majorizes on each pair
+    # would do both twice.
+    sums = []
+    for s, seq in enumerate(seqs):
+        if any(map(operator.lt, seq, seq[1:])):
+            raise ValueError(f"placement {s} is not non-increasing: {seq}")
+        sums.append(list(accumulate(seq)))
     for s in range(len(measures) - 1):
-        if not majorizes(seqs[s + 1], seqs[s]):
+        earlier, later = sums[s], sums[s + 1]
+        if not (all(map(operator.ge, later, earlier)) and later[-1] == earlier[-1]):
             raise ArithmeticError(
                 f"majorization violated at n={n}, k={k}: "
                 f"placement {s + 1} does not majorize placement {s}"

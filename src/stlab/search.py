@@ -101,7 +101,7 @@ import time
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from stlab.cycles import find_cycle_of_length, path_ends
-from stlab.digraph import Digraph, _iter_bits, _relabelled_rows, in_rows, is_weakly_connected
+from stlab.digraph import _ROW_CODES, Digraph, _iter_bits, _relabelled_rows, in_rows, is_weakly_connected
 from stlab.families import (
     enumerate_bk01_members,
     enumerate_fnk_members,
@@ -112,9 +112,10 @@ from stlab.invariants import first_zagreb, laplacian_energy
 
 ENUM_CAP = 5
 # CanonicalForm stores each row in ROW_BYTES bytes, one bit per vertex, as one
-# big-endian unsigned struct field (">H"); that width is the largest order labelled.
+# big-endian unsigned struct field; that width is the largest order labelled.
 ROW_BYTES = 2
 ISO_CAP = 8 * ROW_BYTES
+_ROW_CODE = _ROW_CODES[ISO_CAP]
 OBJECTIVES = ("LE", "M1", "ARCS")
 SCOPES = ("all", "connected_only")
 _MEASURES: dict[str, Callable[[Digraph], int]] = {"LE": laplacian_energy, "M1": first_zagreb, "ARCS": lambda g: g.e}
@@ -423,7 +424,7 @@ class CanonicalForm(NamedTuple):
         data = self.data
         if not data or len(data) != 1 + ROW_BYTES * data[0]:
             raise ValueError(f"canonical form data must be 1 + {ROW_BYTES}n bytes, n = data[0]; got {len(data)}")
-        return Digraph(data[0], struct.unpack(f">{data[0]}H", data[1:]))
+        return Digraph(data[0], struct.unpack(f">{data[0]}{_ROW_CODE}", data[1:]))
 
 
 def canonical_label(g: Digraph) -> CanonicalForm:
@@ -431,10 +432,14 @@ def canonical_label(g: Digraph) -> CanonicalForm:
 
     Found by the lex-min partition search the module docstring describes.
     """
+    if g.n > ISO_CAP:
+        raise ValueError(f"canonical labelling is capped at n <= {ISO_CAP}, got {g.n}")
+    return _canonical_label(g, in_rows(g))
+
+
+def _canonical_label(g: Digraph, ins: Sequence[int]) -> CanonicalForm:
+    """canonical_label of g, whose in-rows are ins."""
     n, rows = g.n, g.rows
-    if n > ISO_CAP:
-        raise ValueError(f"canonical labelling is capped at n <= {ISO_CAP}, got {n}")
-    ins = in_rows(g)
     colors = _refine_colors(g, ins)
     classes = [0] * (max(colors) + 1)
     for v, color in enumerate(colors):
@@ -505,24 +510,28 @@ def canonical_label(g: Digraph) -> CanonicalForm:
         return n
 
     search(classes, ())
-    return CanonicalForm(bytes([n]) + struct.pack(f">{n}H", *best[0]))
+    return CanonicalForm(bytes([n]) + struct.pack(f">{n}{_ROW_CODE}", *best[0]))
 
 
-def _degree_triples(g: Digraph) -> list[tuple[int, int, int]]:
-    """Sorted (outdegree, indegree, digons at v) over the vertices: an isomorphism invariant."""
-    pairs = zip(g.rows, in_rows(g))
+def _degree_triples(g: Digraph, ins: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Sorted (outdegree, indegree, digons at v) over g's vertices, ins its in-rows: an isomorphism invariant."""
+    pairs = zip(g.rows, ins)
     return sorted((row.bit_count(), into.bit_count(), (row & into).bit_count()) for row, into in pairs)
 
 
 def are_isomorphic(g: Digraph, h: Digraph) -> bool:
     """True iff g and h have the same canonical form.
 
-    Digraphs whose degree triples differ are told apart without labelling.
+    Digraphs whose degree triples differ are told apart without labelling;
+    the labeller reuses the in-rows the triples were read from.
     """
     if g.n != h.n:
         raise ValueError(f"order mismatch: {g.n} vs {h.n}")
     if g.n > ISO_CAP:
         raise ValueError(f"isomorphism testing is capped at n <= {ISO_CAP}, got {g.n}")
-    if g.e != h.e or _degree_triples(g) != _degree_triples(h):
+    if g.e != h.e:
         return False
-    return canonical_label(g) == canonical_label(h)
+    g_ins, h_ins = in_rows(g), in_rows(h)
+    if _degree_triples(g, g_ins) != _degree_triples(h, h_ins):
+        return False
+    return _canonical_label(g, g_ins) == _canonical_label(h, h_ins)

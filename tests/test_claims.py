@@ -3,8 +3,9 @@ from pathlib import Path
 import pytest
 
 import stlab.claims as claims
-from stlab.claims import BK01_N_MAX, TAGS, verify_theorem
+from stlab.claims import TAGS, verify_theorem
 from stlab.cli import main
+from stlab.digraph import MAX_VERTICES
 from stlab.families import enumerate_bk01_members
 from stlab.search import ISO_CAP, search_extremal
 
@@ -107,17 +108,31 @@ def test_oracle_cap_above_iso_cap_with_small_grid(monkeypatch):
     assert [args[-1] for args in calls] == [ISO_CAP, 64]
 
 
-def test_thm16_order_bound(capsys, monkeypatch):
-    # thm1.6 holds every bk01 member of an order at once, so its n_max stops
-    # at BK01_N_MAX, checked before any row is computed.
-    monkeypatch.setattr(claims, "_grid_rows", lambda *args: ["rows"])
-    assert verify_theorem("thm1.6", BK01_N_MAX) == ["rows"]
-    with pytest.raises(ValueError, match=f"n_max must be <= BK01_N_MAX = {BK01_N_MAX}, got {BK01_N_MAX + 1}"):
-        verify_theorem("thm1.6", BK01_N_MAX + 1)
-    assert main(["verify", "thm1.6", "--n-max", "64"]) == 2
+def test_thm16_runs_to_max_vertices(capsys):
+    # The bk01 energies come from a composition DP, so thm1.6 has no cap of
+    # its own: it runs to MAX_VERTICES, and one order above is a usage error.
+    rows = verify_theorem("thm1.6", MAX_VERTICES)
+    assert [row.n for row in rows] == list(range(1, MAX_VERTICES + 1))
+    assert all(row.ok and row.generator == row.formula for row in rows)
+    assert main(["verify", "thm1.6", "--n-max", str(MAX_VERTICES + 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "BK01_N_MAX = 40, got 64" in captured.err
+    assert f"n_max must be <= MAX_VERTICES = {MAX_VERTICES}, got {MAX_VERTICES + 1}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "tag, builder", [("thm1.3", "enumerate_fnk_members"), ("thm1.6", "enumerate_bk01_members")]
+)
+def test_witnesses_are_built_for_the_oracle_only(monkeypatch, tag, builder):
+    # The generator column is measured from structure; the members are the
+    # oracle's expected witnesses and are built for n <= oracle_cap alone.
+    built = []
+    original = getattr(claims, builder)
+    monkeypatch.setattr(claims, builder, lambda n, *k: built.append(n) or original(n, *k))
+    rows = verify_theorem(tag, MAX_VERTICES)
+    assert all(row.ok for row in rows)
+    assert sorted(set(built)) == [1, 2, 3, 4, 5]
+    assert len(built) == sum(1 for row in rows if row.n <= 5)
 
 
 def test_found_witnesses_are_not_relabelled(monkeypatch):

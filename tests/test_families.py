@@ -4,10 +4,12 @@ from stlab.digraph import out_degree_sequence
 from stlab.families import (
     FamilySpec,
     bk01_compositions,
+    bk01_energy_range,
     build_family,
     enumerate_bk01_members,
     enumerate_fnk_members,
     family_blocks,
+    fnk_placement_arcs,
     gen_bk,
     gen_complete_digraph,
     gen_fnk,
@@ -67,6 +69,14 @@ class TestFnk:
             sizes = {g.e for g in enumerate_fnk_members(n, k)}
             assert sizes == {ex_arcs_ck(n, k).value}
 
+    def test_placement_arcs_match_built_members(self):
+        # Every order and block size with a residual, k > n included.
+        for n in range(1, 65):
+            for k in range(1, n + 2):
+                if n % k:
+                    assert fnk_placement_arcs(n, k) == [g.e for g in enumerate_fnk_members(n, k)], (n, k)
+        assert fnk_placement_arcs(6, 3) == [ex_arcs_ck(6, 3).value]
+
     def test_position_validation(self):
         with pytest.raises(ValueError, match="multiple"):
             gen_fnk(6, 3, 1)
@@ -125,6 +135,18 @@ class TestBk:
         for n in range(1, 13):
             energies = {laplacian_energy(g) for g in enumerate_bk01_members(n)}
             assert energies == {ex_le_ck(n, 2).value}
+
+    def test_energy_range_matches_built_members(self):
+        for n in range(1, 25):
+            energies = [laplacian_energy(g) for g in enumerate_bk01_members(n)]
+            assert bk01_energy_range(n) == (min(energies), max(energies)), n
+
+    def test_energy_range_is_the_closed_form(self):
+        for n in range(1, 65):
+            value = ex_le_ck(n, 2).value
+            assert bk01_energy_range(n) == (value, value), n
+        with pytest.raises(ValueError, match="vertex count must be in 1..64, got 65"):
+            bk01_energy_range(65)
 
     def test_f_n2_members_are_bk_members(self):
         assert gen_fnk(5, 2, 3) == gen_bk([2, 2, 1])

@@ -188,3 +188,12 @@ def test_ordering_reports_energy_violation(monkeypatch):
     monkeypatch.setattr(majorization, "fnk_placement_measures", lambda n, k: [(0, seq) for _, seq in measures])
     with pytest.raises(ArithmeticError, match="energy ordering violated at n=7, k=3"):
         verify_fnk_ordering(7, 3)
+
+
+def test_ordering_reports_non_increasing_violation(monkeypatch):
+    # Each placement's outdegree sequence is checked once, with the ValueError majorizes raises.
+    measures = fnk_placement_measures(7, 3)
+    measures[1] = (measures[1][0], measures[1][1][::-1])
+    monkeypatch.setattr(majorization, "fnk_placement_measures", lambda n, k: measures)
+    with pytest.raises(ValueError, match="placement 1 is not non-increasing"):
+        verify_fnk_ordering(7, 3)

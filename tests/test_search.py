@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -453,13 +454,13 @@ class TestIsomorphism:
             (_circulant(6, (1, 5)), _union(_circulant(3, (1, 2)), _circulant(3, (1, 2)))),
         ]
         for g, h in pairs:
-            assert search._degree_triples(g) == search._degree_triples(h)
+            assert search._degree_triples(g, in_rows(g)) == search._degree_triples(h, in_rows(h))
             assert not are_isomorphic(g, h)
 
     def test_differing_triples_skip_the_labeller(self, monkeypatch):
         calls = []
-        label = search.canonical_label
-        monkeypatch.setattr(search, "canonical_label", lambda g: calls.append(g) or label(g))
+        label = search._canonical_label
+        monkeypatch.setattr(search, "_canonical_label", lambda g, ins: calls.append(g) or label(g, ins))
         # Equal order and arc count; the first pair also has equal degrees and
         # differs only in its digons.
         digon_and_triangle = _union(DIGON, _circulant(3, (1,)))
@@ -469,11 +470,20 @@ class TestIsomorphism:
             (gen_transitive_tournament(4), _union(gen_complete_digraph(3), build_digraph(1, []))),
         ]
         for g, h in pairs:
-            assert search._degree_triples(g) != search._degree_triples(h)
+            assert search._degree_triples(g, in_rows(g)) != search._degree_triples(h, in_rows(h))
             assert not are_isomorphic(g, h)
         assert calls == []
         assert are_isomorphic(digon_and_triangle, _relabelled(digon_and_triangle, random.Random(3)))
         assert len(calls) == 2
+
+    def test_agreeing_triples_transpose_each_digraph_once(self, monkeypatch):
+        # The labeller reuses the in-rows the degree triples were read from.
+        calls = []
+        monkeypatch.setattr(search, "in_rows", lambda g: calls.append(g) or in_rows(g))
+        g = gen_bk([4, 2, 3])
+        h = _relabelled(g, random.Random(5))
+        assert are_isomorphic(g, h)
+        assert calls == [g, h]
 
 
 class TestCanonicalLabel:
@@ -529,6 +539,14 @@ class TestCanonicalLabel:
         assert ISO_CAP == 8 * search.ROW_BYTES == 16
         with pytest.raises(ValueError, match="capped"):
             canonical_label(build_digraph(ISO_CAP + 1, []))
+
+    def test_row_code_follows_row_bytes(self):
+        # One struct field per row, as wide as ROW_BYTES: a full-width K16 round-trips.
+        assert struct.calcsize(">" + search._ROW_CODE) == search.ROW_BYTES
+        k16 = gen_complete_digraph(ISO_CAP)
+        form = canonical_label(k16)
+        assert len(form.data) == 1 + ISO_CAP * search.ROW_BYTES
+        assert form.to_digraph() == k16
 
     @pytest.mark.parametrize(
         "g",
