@@ -21,10 +21,11 @@ checks them all: for each (n, k) it compares the closed form with every
 generator value and, within the oracle cap, with the exhaustive search
 maximum over digraphs with no directed (k+1)-cycle, with witness sets
 matched up to isomorphism.  thm1.3 and thm1.6 measure their many
-witnesses unbuilt (families.fnk_placement_arcs, bk01_energy_range) and
-build them for the oracle alone.  Rows beyond the cap keep their oracle
-columns marked "skipped" and still pass on the formula/generator
-comparison.  lemma3.1 has no oracle; its rows run the ordering check.
+witnesses unbuilt (families.fnk_placement_arcs from the placements' block
+sizes, bk01_energy_range) and build them for the oracle alone.  Rows
+beyond the cap keep their oracle columns marked "skipped" and still pass
+on the formula/generator comparison.  lemma3.1 has no oracle; its rows
+run the ordering check, which builds no digraph either.
 
 Caps: n_max is at most MAX_VERTICES (64), the largest bit-row Digraph.
 The oracle runs for n <= oracle_cap, which defaults to 5.  ISO_CAP (16)

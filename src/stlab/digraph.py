@@ -14,8 +14,6 @@ addresses a vertex >= n or holds the loop (u, u).  The packed bit matrix
 that digon_count and in_rows transpose is converted to and from the row
 tuple by one ``struct`` call: one little-endian unsigned field per row, of
 8 bits at n <= 8, else of 16, 32 or 64 bits (_transpose_layout).
-spliced_digon_counts masks two such packed matrices and their transposes
-to count the digons of each row splice of two digraphs without building it.
 
 Relabelling has one bulk primitive, _relabelled_rows(ins, order): moving
 vertex order[p] to position p permutes both the rows and the columns of the
@@ -147,20 +145,15 @@ _ROW_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 @lru_cache(maxsize=None)
-def _transpose_layout(n: int) -> tuple[int, struct.Struct, tuple[tuple[int, int], ...]]:
-    """(stride, codec, rounds) of the packed transpose of an n x n bit matrix.
+def _swap_rounds(size: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of each block-swap round of the packed transpose of a size x size bit matrix.
 
-    The matrix is taken as size x size, size the next power of two >= n,
-    with rows at a stride of max(8, size) bits so that a row is a whole
-    field of codec: n little-endian unsigned stride-bit fields, so the
-    packed int holds row u at bits [u * stride, (u + 1) * stride) on any
-    host.  Round j of the log2(size) block-swap rounds exchanges
-    bit j of the row and column indices: its mask marks cells (u, v) with
-    u & j == 0 and v & j != 0, whose partners (u + j, v - j) sit
-    j * (stride - 1) bits higher (Warren, Hacker's Delight, section 7-3).
-    One entry per vertex count, so at most MAX_VERTICES entries.
+    size is a power of two, and rows sit max(8, size) bits apart.  Round j
+    of the log2(size) rounds exchanges bit j of the row and column indices:
+    its mask marks cells (u, v) with u & j == 0 and v & j != 0, whose
+    partners (u + j, v - j) sit j * (stride - 1) bits higher (Warren,
+    Hacker's Delight, section 7-3).  One entry per size, so at most 7.
     """
-    size = 1 << (n - 1).bit_length()
     stride = max(8, size)
     rounds = []
     j = 1
@@ -169,7 +162,23 @@ def _transpose_layout(n: int) -> tuple[int, struct.Struct, tuple[tuple[int, int]
         mask = sum(cols << (u * stride) for u in range(size) if not u & j)
         rounds.append((j * (stride - 1), mask))
         j <<= 1
-    return stride, struct.Struct(f"<{n}{_ROW_CODES[stride]}"), tuple(rounds)
+    return tuple(rounds)
+
+
+@lru_cache(maxsize=None)
+def _transpose_layout(n: int) -> tuple[int, struct.Struct, tuple[tuple[int, int], ...]]:
+    """(stride, codec, rounds) of the packed transpose of an n x n bit matrix.
+
+    The matrix is taken as size x size, size the next power of two >= n,
+    with rows at a stride of max(8, size) bits so that a row is a whole
+    field of codec: n little-endian unsigned stride-bit fields, so the
+    packed int holds row u at bits [u * stride, (u + 1) * stride) on any
+    host.  The rounds are _swap_rounds(size), shared by every n of that
+    size.  One entry per vertex count, so at most MAX_VERTICES entries.
+    """
+    size = 1 << (n - 1).bit_length()
+    stride = max(8, size)
+    return stride, struct.Struct(f"<{n}{_ROW_CODES[stride]}"), _swap_rounds(size)
 
 
 def _packed_transpose(rows: Sequence[int]) -> tuple[int, int, int]:
@@ -207,42 +216,6 @@ def _relabelled_rows(ins: Sequence[int], order: Sequence[int]) -> tuple[int, ...
     _, _, transposed = _packed_transpose([ins[v] for v in order])
     cols = _unpack_rows(transposed, len(order))
     return tuple([cols[v] for v in order])
-
-
-@lru_cache(maxsize=None)
-def _column_unit(n: int) -> int:
-    """Bit 0 of each of rows 0..n-1 at _transpose_layout(n)'s stride.
-
-    Times a column mask m < 2**stride, it is m in each of those rows.  One
-    entry per vertex count, so at most MAX_VERTICES entries.
-    """
-    stride = _transpose_layout(n)[0]
-    return sum(1 << (u * stride) for u in range(n))
-
-
-def spliced_digon_counts(head: Digraph, tail: Digraph, cuts: Iterable[int]) -> list[int]:
-    """digon_count(Digraph(n, head.rows[:c] + tail.rows[c:])) for each cut c, none of them built.
-
-    The splice's packed matrix is head's in the rows below c and tail's
-    from row c on.  The transpose of a row splice is the column splice of
-    the transposes, so the splice's transpose is head's in the columns
-    below c and tail's from column c on.  Each cut costs a few whole-int
-    masks and one popcount; the two ends are transposed once.
-    """
-    if head.n != tail.n:
-        raise ValueError(f"cannot splice n={head.n} rows with n={tail.n} rows")
-    stride, head_rows, head_cols = _packed_transpose(head.rows)
-    _, tail_rows, tail_cols = _packed_transpose(tail.rows)
-    unit = _column_unit(head.n)
-    # A splice is tail ^ ((head ^ tail) & mask): head's bits inside the mask, tail's outside.
-    diff_rows = head_rows ^ tail_rows
-    diff_cols = head_cols ^ tail_cols
-    counts = []
-    for c in cuts:
-        packed = tail_rows ^ (diff_rows & ((1 << (c * stride)) - 1))
-        transposed = tail_cols ^ (diff_cols & (((1 << c) - 1) * unit))
-        counts.append((packed & transposed).bit_count() // 2)
-    return counts
 
 
 def in_rows(g: Digraph) -> tuple[int, ...]:

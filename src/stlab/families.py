@@ -26,18 +26,18 @@ block's size (the block's own pattern plus every label after it):
   (p-1)k, c, c+k, ... with c = (p-1)k + r: the first c rows are those of
   the residual-last member (its blocks start at multiples of k) and the
   rest those of the residual-first member (its blocks start at r + jk).
-  So the two end placements are built, and every placement is a splice.
-  ``fnk_placement_ends`` is the one place that states this rule; the
-  enumerator and ``majorization.verify_fnk_ordering`` both take the two
-  ends and the cuts from it.  The ordering check measures each splice from
-  the ends' packed matrices without building it: every row of a splice is
-  a row of a validated n-vertex ``Digraph``, so the splice needs no
-  validation of its own.
+  So the two end placements are built, and every placement is a splice
+  (``fnk_placement_ends``).
 * ``enumerate_bk01_members``: a cache local to the call maps a block's
   (start, size) to its rows, and each composition concatenates entries.
 
 Every member still passes ``Digraph`` validation, and the one-member
 builders keep their per-row comprehension, which is faster for one chain.
+
+``fnk_placement_degrees`` measures the fnk placements without building
+any: a vertex of a complete block starting at label s has outdegree
+n - 1 - s, so each outdegree sequence follows from the block sizes.
+``fnk_placement_arcs`` and ``majorization.verify_fnk_ordering`` read it.
 """
 
 from __future__ import annotations
@@ -166,16 +166,31 @@ def enumerate_fnk_members(n: int, k: int) -> list[Digraph]:
     return [Digraph(n, head.rows[:c] + tail.rows[c:]) for c in cuts]
 
 
-def fnk_placement_arcs(n: int, k: int) -> list[int]:
-    """Arc count of each member of enumerate_fnk_members(n, k), none built.
+def fnk_placement_degrees(n: int, k: int) -> list[tuple[int, ...]]:
+    """Outdegree sequence of each member of enumerate_fnk_members(n, k), none built.
 
-    Placement p has head's first c rows and tail's rest, so its arcs are a
-    prefix sum of head's outdegrees plus a suffix sum of tail's.
+    Placement p (from 0) has blocks [k]*p + [r] + [k]*(q-p), or [k]*q when
+    r = 0.  A vertex of the block starting at label s has outdegree
+    n - 1 - s, so each sequence is non-increasing.  Placement p agrees with
+    the residual-last member on its first pk + r vertices and with the
+    residual-first member on the rest.
     """
-    head, tail, cuts = fnk_placement_ends(n, k)
-    h = list(accumulate(map(int.bit_count, head.rows), initial=0))
-    t = list(accumulate(map(int.bit_count, tail.rows), initial=0))
-    return [h[c] + t[n] - t[c] for c in cuts]
+    if k < 1 or n < 1:
+        raise ValueError("n and k must be >= 1")
+    _check_order(n)
+    q, r = divmod(n, k)
+    # Residual last: vertex v is in the block starting at v // k * k.
+    head = tuple([n - 1 - v // k * k for v in range(n)])
+    if r == 0:
+        return [head]
+    # Residual first: its r vertices start at 0, then head's blocks shifted by r.
+    tail = head[:r] + tuple([d - r for d in head[: n - r]])
+    return [head[:c] + tail[c:] for c in range(r, n + 1, k)]
+
+
+def fnk_placement_arcs(n: int, k: int) -> list[int]:
+    """Arc count of each member of enumerate_fnk_members(n, k), none built."""
+    return list(map(sum, fnk_placement_degrees(n, k)))
 
 
 def gen_bk(parts: Sequence[int]) -> Digraph:

@@ -13,9 +13,8 @@ from enum import Enum
 from itertools import accumulate
 from typing import Sequence
 
-from stlab.digraph import spliced_digon_counts
 # gen_fnk and laplacian_energy stay importable here: perfbench's tracer wraps them at this site.
-from stlab.families import fnk_placement_ends, gen_fnk
+from stlab.families import fnk_placement_degrees, gen_fnk
 from stlab.invariants import laplacian_energy
 
 
@@ -59,26 +58,16 @@ def karamata_square_check(x: Sequence[int], y: Sequence[int]) -> KaramataVerdict
 
 
 def fnk_placement_measures(n: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(Laplacian energy, outdegree sequence) of each member of enumerate_fnk_members(n, k).
+    """(Laplacian energy, outdegree sequence) of each member of enumerate_fnk_members(n, k), none built.
 
-    No member is built.  Member p is the row splice head.rows[:c] +
-    tail.rows[c:] of fnk_placement_ends, whose rows are rows of validated
-    digraphs, so it needs no validation.  Its energy is M1 + c2: M1 is a
-    prefix sum of head's squared outdegrees plus a suffix sum of tail's,
-    and c2 is twice spliced_digon_counts'.
+    The sequences are families.fnk_placement_degrees'.  The energy is
+    M1 + c2: M1 sums the squared outdegrees, and c2 = q*k(k-1) + r(r-1)
+    counts closed 2-walks, s(s-1) in each complete block of size s.
     """
-    head, tail, cuts = fnk_placement_ends(n, k)
-    head_degrees = list(map(int.bit_count, head.rows))
-    tail_degrees = list(map(int.bit_count, tail.rows))
-    head_m1 = list(accumulate([d * d for d in head_degrees], initial=0))
-    tail_m1 = list(accumulate([d * d for d in tail_degrees], initial=0))
-    return [
-        (
-            head_m1[c] + tail_m1[n] - tail_m1[c] + 2 * digons,
-            tuple(sorted(head_degrees[:c] + tail_degrees[c:], reverse=True)),
-        )
-        for c, digons in zip(cuts, spliced_digon_counts(head, tail, cuts))
-    ]
+    seqs = fnk_placement_degrees(n, k)
+    q, r = divmod(n, k)
+    c2 = q * k * (k - 1) + r * (r - 1)
+    return [(sum(map(operator.mul, seq, seq)) + c2, seq) for seq in seqs]
 
 
 def verify_fnk_ordering(n: int, k: int) -> list[tuple[int, int]]:
@@ -90,8 +79,7 @@ def verify_fnk_ordering(n: int, k: int) -> list[tuple[int, int]]:
     of the outdegree sequence, checked between consecutive placements).
     Raises ValueError unless n and k are >= 1, and when there is a single
     member with nothing to order: n % k == 0, or n < k.  The placements
-    are measured by fnk_placement_measures, from the packed matrices of
-    the two end members, without building any placement.
+    are measured from their block sizes by fnk_placement_measures, none built.
     """
     measures = fnk_placement_measures(n, k)
     if len(measures) == 1:

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 import stlab.claims as claims
+import stlab.families as families
 from stlab.claims import TAGS, verify_theorem
 from stlab.cli import main
 from stlab.digraph import MAX_VERTICES
@@ -133,6 +134,21 @@ def test_witnesses_are_built_for_the_oracle_only(monkeypatch, tag, builder):
     assert all(row.ok for row in rows)
     assert sorted(set(built)) == [1, 2, 3, 4, 5]
     assert len(built) == sum(1 for row in rows if row.n <= 5)
+
+
+@pytest.mark.parametrize(
+    "tag, k_max, built_orders", [("lemma3.1", 12, []), ("thm1.3", 5, [1, 2, 3, 4, 5])]
+)
+def test_fnk_placements_are_measured_from_block_sizes(monkeypatch, tag, k_max, built_orders):
+    # Outside the oracle, no fnk chain is built: the placements are measured from their block sizes.
+    built = []
+    original = families._block_chain
+    monkeypatch.setattr(
+        families, "_block_chain", lambda sizes, rows: built.append(sum(sizes)) or original(sizes, rows)
+    )
+    rows = verify_theorem(tag, MAX_VERTICES, k_max)
+    assert rows and all(row.ok for row in rows)
+    assert sorted(set(built)) == built_orders
 
 
 def test_found_witnesses_are_not_relabelled(monkeypatch):

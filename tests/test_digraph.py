@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import stlab.digraph as digraph
 from stlab.digraph import (
     Digraph,
     build_digraph,
@@ -11,7 +12,6 @@ from stlab.digraph import (
     is_weakly_connected,
     out_degree_sequence,
     permute,
-    spliced_digon_counts,
 )
 from stlab.families import gen_fnk, gen_transitive_tournament
 from stlab.search import digraph_from_mask, enumerate_digraphs
@@ -184,12 +184,12 @@ def test_in_rows_is_the_transpose_at_every_width(n):
         g = random_digraph(rng, n, p)
         assert in_rows(g) == naive_in_rows(g), (n, p)
         assert digon_count(g) == naive_digon_count(g), (n, p)
-    # Every row splice of two random digraphs, against the built splice.
-    head, tail = random_digraph(rng, n, 0.5), random_digraph(rng, n, 0.5)
-    built = [digon_count(Digraph(n, head.rows[:c] + tail.rows[c:])) for c in range(n + 1)]
-    assert spliced_digon_counts(head, tail, range(n + 1)) == built, n
 
 
-def test_splice_rejects_unequal_orders():
-    with pytest.raises(ValueError, match="cannot splice"):
-        spliced_digon_counts(gen_fnk(5, 2, 1), gen_fnk(6, 2), [3])
+def test_swap_rounds_are_built_once_per_size():
+    # The block-swap masks depend on the power-of-two size alone, so n = 33..64 share one tuple.
+    for n in range(1, 65):
+        digraph._transpose_layout(n)
+    assert digraph._transpose_layout(33)[2] is digraph._transpose_layout(64)[2]
+    assert digraph._transpose_layout(9)[2] is not digraph._transpose_layout(8)[2]
+    assert digraph._swap_rounds.cache_info().currsize <= 7

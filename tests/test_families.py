@@ -10,6 +10,7 @@ from stlab.families import (
     enumerate_fnk_members,
     family_blocks,
     fnk_placement_arcs,
+    fnk_placement_degrees,
     gen_bk,
     gen_complete_digraph,
     gen_fnk,
@@ -76,6 +77,13 @@ class TestFnk:
                 if n % k:
                     assert fnk_placement_arcs(n, k) == [g.e for g in enumerate_fnk_members(n, k)], (n, k)
         assert fnk_placement_arcs(6, 3) == [ex_arcs_ck(6, 3).value]
+
+    @pytest.mark.parametrize(
+        "n,k,message", [(65, 3, "vertex count must be in 1..64, got 65"), (5, 0, "n and k must be >= 1")]
+    )
+    def test_placement_degrees_validate(self, n, k, message):
+        with pytest.raises(ValueError, match=message):
+            fnk_placement_degrees(n, k)
 
     def test_position_validation(self):
         with pytest.raises(ValueError, match="multiple"):
