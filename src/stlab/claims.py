@@ -7,7 +7,7 @@ Each tag names one closed-form claim together with its extremal witnesses:
 * thm1.4   maximum Laplacian energy, k >= 3; unique witness is the chain
            with the residual block last (or the uniform chain when r = 0).
 * thm1.5   maximum Laplacian energy with no digon (k = 1); unique witness
-           is the transitive tournament.
+           is the transitive tournament, the chain of singleton blocks.
 * thm1.6   maximum Laplacian energy with no directed 3-cycle (k = 2);
            witnesses are the {4,2}(+{3,1}) bipartite-block chains.
 * lemma2.1 maximum First Zagreb index with no directed 3-cycle; unique
@@ -20,9 +20,11 @@ form, the expected witnesses and the generator-side values.  One row loop
 checks them all: for each (n, k) it compares the closed form with every
 generator value and, within the oracle cap, with the exhaustive search
 maximum over digraphs with no directed (k+1)-cycle, with witness sets
-matched up to isomorphism.  thm1.3 and thm1.6 measure their many
-witnesses unbuilt (families.fnk_placement_arcs from the placements' block
-sizes, bk01_energy_range) and build them for the oracle alone.  Rows
+matched up to isomorphism.  No generator column builds a digraph: thm1.3,
+thm1.4, thm1.5 and lemma2.1 measure their chains from the block sizes
+(families.fnk_placement_arcs and fnk_placement_degrees,
+majorization.fnk_placement_measures), thm1.6 its chains by
+bk01_energy_range, and the witnesses are built for the oracle alone.  Rows
 beyond the cap keep their oracle columns marked "skipped" and still pass
 on the formula/generator comparison.  lemma3.1 has no oracle; its rows
 run the ordering check, which builds no digraph either.
@@ -40,17 +42,19 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from stlab.digraph import MAX_VERTICES, Digraph
+# gen_transitive_tournament, first_zagreb and laplacian_energy stay importable here: perfbench's tracer wraps them at this site.
 from stlab.families import (
     bk01_energy_range,
     enumerate_bk01_members,
     enumerate_fnk_members,
     fnk_placement_arcs,
+    fnk_placement_degrees,
     gen_fnk,
     gen_transitive_tournament,
 )
 from stlab.formulas import ExactValue, ex_arcs_ck, ex_le_ck, ex_m1_c3
 from stlab.invariants import first_zagreb, laplacian_energy
-from stlab.majorization import verify_fnk_ordering
+from stlab.majorization import fnk_placement_measures, verify_fnk_ordering
 from stlab.search import ISO_CAP, CanonicalForm, canonical_label, search_extremal
 
 TAGS = ("thm1.3", "thm1.4", "thm1.5", "thm1.6", "lemma2.1", "lemma3.1")
@@ -82,7 +86,8 @@ class ClaimSpec(NamedTuple):
     ``k`` is the claim's fixed k, or None for the grid k = 3..k_max.
     ``formula``, ``members`` and ``values`` take (n, k); ``members`` lists
     the expected extremal witnesses, built only for the oracle, and
-    ``values`` the generator side, whose first value is the generator column.
+    ``values`` the generator side, measured without building a digraph,
+    whose first value is the generator column.
     """
 
     k: int | None
@@ -98,32 +103,28 @@ def _fnk_extremal(n: int, k: int) -> list[Digraph]:
     return [gen_fnk(n, k, q + 1 if r else None)]
 
 
-class _Measured(NamedTuple):
-    """Generator values of a claim with few members: the measure of each one, built."""
+def _fnk_extremal_le(n: int, k: int) -> list[int]:
+    """Laplacian energy of the residual-last chain, from its block sizes."""
+    return [fnk_placement_measures(n, k)[-1][0]]
 
-    members: Callable[[int, int], list[Digraph]]
-    measure: Callable[[Digraph], int]
 
-    def __call__(self, n: int, k: int) -> list[int]:
-        return [self.measure(g) for g in self.members(n, k)]
+def _fnk_extremal_m1(n: int, k: int) -> list[int]:
+    """First Zagreb index of the residual-last chain, from its block sizes."""
+    return [sum(d * d for d in fnk_placement_degrees(n, k)[-1])]
 
 
 def _claim_specs() -> dict[str, ClaimSpec]:
     # Built per call, so a function patched on this module (as in tests, or
     # perfbench's tracer) is the one the rows call.
-    def tournament(n: int, k: int) -> list[Digraph]:
-        return [gen_transitive_tournament(n)]
-
     return {
         "thm1.3": ClaimSpec(None, "ARCS", ex_arcs_ck, enumerate_fnk_members, fnk_placement_arcs),
-        "thm1.4": ClaimSpec(None, "LE", ex_le_ck, _fnk_extremal, _Measured(_fnk_extremal, laplacian_energy)),
-        "thm1.5": ClaimSpec(1, "LE", ex_le_ck, tournament, _Measured(tournament, laplacian_energy)),
+        "thm1.4": ClaimSpec(None, "LE", ex_le_ck, _fnk_extremal, _fnk_extremal_le),
+        # The transitive tournament is the k = 1 chain.
+        "thm1.5": ClaimSpec(1, "LE", ex_le_ck, _fnk_extremal, _fnk_extremal_le),
         "thm1.6": ClaimSpec(
             2, "LE", ex_le_ck, lambda n, k: enumerate_bk01_members(n), lambda n, k: list(bk01_energy_range(n))
         ),
-        "lemma2.1": ClaimSpec(
-            2, "M1", lambda n, k: ex_m1_c3(n), _fnk_extremal, _Measured(_fnk_extremal, first_zagreb)
-        ),
+        "lemma2.1": ClaimSpec(2, "M1", lambda n, k: ex_m1_c3(n), _fnk_extremal, _fnk_extremal_m1),
     }
 
 

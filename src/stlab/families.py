@@ -16,34 +16,17 @@ each block carries its own internal pattern.
 Block order matters: distinct orderings are distinct (generally
 non-isomorphic) members, so enumerators walk compositions, not partitions.
 
-The enumerators build their members from shared rows, which is exact
-because a row depends only on its vertex, its block's start and its
-block's size (the block's own pattern plus every label after it):
-
-* ``enumerate_fnk_members``: in a complete block a row is every label from
-  the block's start on, minus the vertex itself, so it depends on the
-  vertex and the start alone.  Placement p's blocks start at 0, k, ...,
-  (p-1)k, c, c+k, ... with c = (p-1)k + r: the first c rows are those of
-  the residual-last member (its blocks start at multiples of k) and the
-  rest those of the residual-first member (its blocks start at r + jk).
-  So the two end placements are built, and every placement is a splice
-  (``fnk_placement_ends``).
-* ``enumerate_bk01_members``: a cache local to the call maps a block's
-  (start, size) to its rows, and each composition concatenates entries.
-
-Every member still passes ``Digraph`` validation, and the one-member
-builders keep their per-row comprehension, which is faster for one chain.
-
 ``fnk_placement_degrees`` measures the fnk placements without building
 any: a vertex of a complete block starting at label s has outdegree
 n - 1 - s, so each outdegree sequence follows from the block sizes.
-``fnk_placement_arcs`` and ``majorization.verify_fnk_ordering`` read it.
+``fnk_placement_arcs``, ``majorization.fnk_placement_measures`` and the
+claims' generator columns read it.
 """
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
-from itertools import accumulate, chain
+from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from stlab.digraph import MAX_VERTICES, Digraph
@@ -136,34 +119,14 @@ def gen_fnk(n: int, k: int, r_position: int | None = None) -> Digraph:
     return _block_chain(fnk_block_sizes(n, k, r_position), _complete_rows)
 
 
-def fnk_placement_ends(n: int, k: int) -> tuple[Digraph, Digraph, range]:
-    """(head, tail, cuts): placement p is head.rows[:c] + tail.rows[c:] with c = cuts[p - 1].
-
-    head is the residual-last member and tail the residual-first one, and
-    cuts[p - 1] = (p-1)k + r.  When there is one member (r = 0, or n < k),
-    head is tail is that member and cuts is [n].
-    """
+def enumerate_fnk_members(n: int, k: int) -> list[Digraph]:
+    """All members for the given order: q+1 residual placements, or one when r=0."""
     if k < 1 or n < 1:
         raise ValueError("n and k must be >= 1")
     q, r = divmod(n, k)
     if r == 0:
-        only = gen_fnk(n, k)
-        return only, only, range(n, n + 1)
-    head = gen_fnk(n, k, q + 1)
-    return head, head if q == 0 else gen_fnk(n, k, 1), range(r, n + 1, k)
-
-
-def enumerate_fnk_members(n: int, k: int) -> list[Digraph]:
-    """All members for the given order: q+1 residual placements, or one when r=0.
-
-    Placement p is the first (p-1)k + r rows of the residual-last member
-    followed by the remaining rows of the residual-first member
-    (fnk_placement_ends).
-    """
-    head, tail, cuts = fnk_placement_ends(n, k)
-    if head is tail:
-        return [head]
-    return [Digraph(n, head.rows[:c] + tail.rows[c:]) for c in cuts]
+        return [gen_fnk(n, k)]
+    return [gen_fnk(n, k, p) for p in range(1, q + 2)]
 
 
 def fnk_placement_degrees(n: int, k: int) -> list[tuple[int, ...]]:
@@ -249,23 +212,8 @@ def bk01_energy_range(n: int) -> tuple[int, int]:
 
 
 def enumerate_bk01_members(n: int) -> list[Digraph]:
-    """gen_bk of every bk01 composition of n, in bk01_compositions order.
-
-    Members share the rows of each block they have in common: a cache local
-    to the call maps a block's (start, size) to its rows.
-    """
-    full = (1 << n) - 1
-
-    @cache
-    def block_rows(start: int, size: int) -> tuple[int, ...]:
-        later = full >> (start + size) << (start + size)
-        return tuple([local << start | later for local in _bipartite_rows(size)])
-
-    members = []
-    for parts in bk01_compositions(n):
-        starts = accumulate(parts[:-1], initial=0)
-        members.append(Digraph(n, tuple(chain.from_iterable(map(block_rows, starts, parts)))))
-    return members
+    """gen_bk of every bk01 composition of n, in bk01_compositions order."""
+    return [gen_bk(parts) for parts in bk01_compositions(n)]
 
 
 def gen_transitive_tournament(n: int) -> Digraph:

@@ -137,7 +137,14 @@ def test_witnesses_are_built_for_the_oracle_only(monkeypatch, tag, builder):
 
 
 @pytest.mark.parametrize(
-    "tag, k_max, built_orders", [("lemma3.1", 12, []), ("thm1.3", 5, [1, 2, 3, 4, 5])]
+    "tag, k_max, built_orders",
+    [
+        ("lemma3.1", 12, []),
+        ("thm1.3", 5, [1, 2, 3, 4, 5]),
+        ("thm1.4", 5, [1, 2, 3, 4, 5]),
+        ("thm1.5", 5, [1, 2, 3, 4, 5]),
+        ("lemma2.1", 5, [1, 2, 3, 4, 5]),
+    ],
 )
 def test_fnk_placements_are_measured_from_block_sizes(monkeypatch, tag, k_max, built_orders):
     # Outside the oracle, no fnk chain is built: the placements are measured from their block sizes.

@@ -58,7 +58,7 @@ class TestFnk:
             enumerate_fnk_members(n, k)
 
     def test_members_match_one_member_builder(self):
-        # The enumerator splices placements from the two end placements.
+        # Pins the member order: residual block at positions 1..q+1, or the one chain when r = 0.
         for n in range(1, 65):
             for k in range(1, n + 2):
                 q, r = divmod(n, k)
@@ -135,7 +135,7 @@ class TestBk:
                 enumerate_parts(65)
 
     def test_members_match_one_member_builder(self):
-        # The enumerator shares block rows between members through a cache local to the call.
+        # Pins the member order: bk01_compositions order.
         for n in range(1, 29):
             assert enumerate_bk01_members(n) == [gen_bk(parts) for parts in bk01_compositions(n)], n
 

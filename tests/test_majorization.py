@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from stlab import majorization
 from stlab.digraph import out_degree_sequence
-from stlab.families import enumerate_fnk_members, gen_fnk
+from stlab.families import enumerate_fnk_members, gen_fnk, gen_transitive_tournament
 from stlab.invariants import laplacian_energy
 from stlab.majorization import (
     KaramataVerdict,
@@ -161,16 +161,16 @@ def test_ordering_rejects_nonpositive_arguments(n, k):
 
 
 def test_placement_measures_match_built_members():
-    # Every order and block size with a residual, including k > n, against the built members.
+    # Every order and block size, including k > n and the r = 0 chains, against the built members.
+    # The k = 1 chain is the transitive tournament, so this also checks thm1.5's generator column.
     members = 0
     for n in range(1, 65):
+        assert gen_fnk(n, 1) == gen_transitive_tournament(n), n
         for k in range(1, n + 2):
-            if n % k == 0:
-                continue
             built = [(laplacian_energy(g), out_degree_sequence(g)) for g in enumerate_fnk_members(n, k)]
             assert fnk_placement_measures(n, k) == built, (n, k)
             members += len(built)
-    assert members == 6565
+    assert members == 6845
 
 
 def test_ordering_reports_majorization_violation(monkeypatch):
