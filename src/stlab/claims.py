@@ -21,13 +21,14 @@ checks them all: for each (n, k) it compares the closed form with every
 generator value and, within the oracle cap, with the exhaustive search
 maximum over digraphs with no directed (k+1)-cycle, with witness sets
 matched up to isomorphism.  No generator column builds a digraph: thm1.3,
-thm1.4, thm1.5 and lemma2.1 measure their chains from the block sizes
-(families.fnk_placement_arcs and fnk_placement_degrees,
-majorization.fnk_placement_measures), thm1.6 its chains by
-bk01_energy_range, and the witnesses are built for the oracle alone.  Rows
-beyond the cap keep their oracle columns marked "skipped" and still pass
-on the formula/generator comparison.  lemma3.1 has no oracle; its rows
-run the ordering check, which builds no digraph either.
+thm1.4, thm1.5 and lemma2.1 measure their chains from the prefix sums of
+two outdegree sequences (families.fnk_placement_arcs and
+fnk_placement_ends, majorization.fnk_placement_energies) in O(n) per row,
+thm1.6 its chains by bk01_energy_range, and the witnesses are built for
+the oracle alone.  Rows beyond the cap keep their oracle columns marked
+"skipped" and still pass on the formula/generator comparison.  lemma3.1
+has no oracle; its rows run the ordering check, which builds no digraph
+either, and a failed check is a FAIL row.
 
 Caps: n_max is at most MAX_VERTICES (64), the largest bit-row Digraph.
 The oracle runs for n <= oracle_cap, which defaults to 5.  ISO_CAP (16)
@@ -48,13 +49,13 @@ from stlab.families import (
     enumerate_bk01_members,
     enumerate_fnk_members,
     fnk_placement_arcs,
-    fnk_placement_degrees,
+    fnk_placement_ends,
     gen_fnk,
     gen_transitive_tournament,
 )
 from stlab.formulas import ExactValue, ex_arcs_ck, ex_le_ck, ex_m1_c3
 from stlab.invariants import first_zagreb, laplacian_energy
-from stlab.majorization import fnk_placement_measures, verify_fnk_ordering
+from stlab.majorization import fnk_placement_energies, verify_fnk_ordering
 from stlab.search import ISO_CAP, CanonicalForm, canonical_label, search_extremal
 
 TAGS = ("thm1.3", "thm1.4", "thm1.5", "thm1.6", "lemma2.1", "lemma3.1")
@@ -104,13 +105,13 @@ def _fnk_extremal(n: int, k: int) -> list[Digraph]:
 
 
 def _fnk_extremal_le(n: int, k: int) -> list[int]:
-    """Laplacian energy of the residual-last chain, from its block sizes."""
-    return [fnk_placement_measures(n, k)[-1][0]]
+    """Laplacian energy of the residual-last chain, the last placement."""
+    return [fnk_placement_energies(n, k)[-1]]
 
 
 def _fnk_extremal_m1(n: int, k: int) -> list[int]:
-    """First Zagreb index of the residual-last chain, from its block sizes."""
-    return [sum(d * d for d in fnk_placement_degrees(n, k)[-1])]
+    """First Zagreb index of the residual-last chain, whose outdegrees are fnk_placement_ends' head."""
+    return [sum(d * d for d in fnk_placement_ends(n, k)[0])]
 
 
 def _claim_specs() -> dict[str, ClaimSpec]:
@@ -196,7 +197,10 @@ def _ordering_rows(n_max: int, k_hi: int) -> list[ClaimRow]:
                 generator = energies[-1][1]
                 ok = generator == formula
                 witness = "increasing" if ok else WITNESS_MISMATCH
-            except ArithmeticError:
+            except (ArithmeticError, ValueError):
+                # A failed check: energy or majorization order (ArithmeticError) or
+                # a placement that is not non-increasing (ValueError).  n and k are
+                # valid and leave a residual here, so no usage error can reach it.
                 generator = None
                 witness = WITNESS_MISMATCH
                 ok = False

@@ -16,11 +16,14 @@ each block carries its own internal pattern.
 Block order matters: distinct orderings are distinct (generally
 non-isomorphic) members, so enumerators walk compositions, not partitions.
 
-``fnk_placement_degrees`` measures the fnk placements without building
-any: a vertex of a complete block starting at label s has outdegree
-n - 1 - s, so each outdegree sequence follows from the block sizes.
-``fnk_placement_arcs``, ``majorization.fnk_placement_measures`` and the
-claims' generator columns read it.
+The fnk placements are measured from prefix sums, none built: a vertex
+of a complete block starting at label s has outdegree n - 1 - s, and
+every placement's outdegree sequence splices the residual-last sequence
+onto the residual-first one at one cut (``fnk_placement_ends``).  So a
+sum over any placement is two prefix-sum lookups, and
+``fnk_placement_arcs``, ``majorization.fnk_placement_energies``,
+``majorization.verify_fnk_ordering`` and the claims' generator columns
+do O(n) work per (n, k).
 """
 
 from __future__ import annotations
@@ -129,31 +132,32 @@ def enumerate_fnk_members(n: int, k: int) -> list[Digraph]:
     return [gen_fnk(n, k, p) for p in range(1, q + 2)]
 
 
-def fnk_placement_degrees(n: int, k: int) -> list[tuple[int, ...]]:
-    """Outdegree sequence of each member of enumerate_fnk_members(n, k), none built.
+def fnk_placement_ends(n: int, k: int) -> tuple[list[int], list[int], range]:
+    """(head, tail, cuts): the members of enumerate_fnk_members(n, k) as spliced outdegree sequences.
 
     Placement p (from 0) has blocks [k]*p + [r] + [k]*(q-p), or [k]*q when
     r = 0.  A vertex of the block starting at label s has outdegree
-    n - 1 - s, so each sequence is non-increasing.  Placement p agrees with
-    the residual-last member on its first pk + r vertices and with the
-    residual-first member on the rest.
+    n - 1 - s, so placement p's sequence is head[:c] + tail[c:] at its cut
+    c = cuts[p] = pk + r: it agrees with the residual-last member (head) on
+    its first c vertices and with the residual-first member (tail) on the
+    rest.  When r = 0 the one member is head, cut at n.
     """
     if k < 1 or n < 1:
         raise ValueError("n and k must be >= 1")
     _check_order(n)
-    q, r = divmod(n, k)
+    r = n % k
     # Residual last: vertex v is in the block starting at v // k * k.
-    head = tuple([n - 1 - v // k * k for v in range(n)])
-    if r == 0:
-        return [head]
+    head = [n - 1 - v // k * k for v in range(n)]
     # Residual first: its r vertices start at 0, then head's blocks shifted by r.
-    tail = head[:r] + tuple([d - r for d in head[: n - r]])
-    return [head[:c] + tail[c:] for c in range(r, n + 1, k)]
+    tail = head[:r] + [d - r for d in head[: n - r]]
+    return head, tail, range(r, n + 1, k) if r else range(n, n + 1)
 
 
 def fnk_placement_arcs(n: int, k: int) -> list[int]:
     """Arc count of each member of enumerate_fnk_members(n, k), none built."""
-    return list(map(sum, fnk_placement_degrees(n, k)))
+    head, tail, cuts = fnk_placement_ends(n, k)
+    heads, tails = [0, *accumulate(head)], [0, *accumulate(tail)]
+    return [heads[c] + tails[n] - tails[c] for c in cuts]
 
 
 def gen_bk(parts: Sequence[int]) -> Digraph:

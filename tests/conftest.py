@@ -1,6 +1,7 @@
 import random
 
 from stlab.digraph import Digraph, build_digraph
+from stlab.families import fnk_block_sizes
 
 
 def random_digraph(rng: random.Random, n: int, p: float = 0.5) -> Digraph:
@@ -23,3 +24,19 @@ def naive_find_cycle(g: Digraph, length: int):
         if all(g.has_arc(seq[i], seq[(i + 1) % length]) for i in range(length)):
             return seq
     return None
+
+
+def fnk_placement_degrees(n: int, k: int) -> list[tuple[int, ...]]:
+    """Reference outdegree sequence of each member of enumerate_fnk_members(n, k).
+
+    Materialised block by block from fnk_block_sizes: a vertex of the block
+    starting at label s has outdegree n - 1 - s.
+    """
+    q, r = divmod(n, k)
+    seqs = []
+    for position in range(1, q + 2) if r else [None]:
+        seq: list[int] = []
+        for size in fnk_block_sizes(n, k, position):
+            seq += [n - 1 - len(seq)] * size
+        seqs.append(tuple(seq))
+    return seqs

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from stlab import cli, families
+from stlab import cli, families, majorization
 from stlab.claims import TAGS
 from stlab.cli import main
 from stlab.digraph import build_digraph
@@ -234,6 +234,22 @@ def test_verify_mismatch_lists_witness_classes(capsys, monkeypatch):
         "DIGRAPH 3 0\n"
         "2/3 rows PASS\n"
     )
+
+
+def test_verify_failed_ordering_is_a_fail_row(capsys, monkeypatch):
+    # A placement that is not non-increasing fails its lemma3.1 row (exit 1), not the command (exit 2).
+    ends = majorization.fnk_placement_ends
+
+    def reversed_tail(n, k):
+        head, tail, cuts = ends(n, k)
+        return (head, tail[::-1], cuts) if (n, k) == (7, 3) else (head, tail, cuts)
+
+    monkeypatch.setattr(majorization, "fnk_placement_ends", reversed_tail)
+    code, out, err = run(capsys, "verify", "lemma3.1", "--n-max", "7", "--k-max", "3")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[-2].split() == ["lemma3.1", "7", "3", "147", "-", "-", "mismatch", "FAIL"]
+    assert lines[-1] == "2/3 rows PASS"
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from stlab.families import (
     enumerate_fnk_members,
     family_blocks,
     fnk_placement_arcs,
-    fnk_placement_degrees,
+    fnk_placement_ends,
     gen_bk,
     gen_complete_digraph,
     gen_fnk,
@@ -19,6 +19,8 @@ from stlab.families import (
 )
 from stlab.formulas import ex_arcs_ck, ex_le_ck
 from stlab.invariants import laplacian_energy, measure
+
+from conftest import fnk_placement_degrees
 
 
 class TestFnk:
@@ -83,7 +85,15 @@ class TestFnk:
     )
     def test_placement_degrees_validate(self, n, k, message):
         with pytest.raises(ValueError, match=message):
-            fnk_placement_degrees(n, k)
+            fnk_placement_ends(n, k)
+
+    def test_placement_ends_pinned(self):
+        # F(7, 3): blocks 3+3+1 (residual last) and 1+3+3 (residual first), cut at 1, 4 and 7.
+        head, tail, cuts = fnk_placement_ends(7, 3)
+        assert (head, tail, list(cuts)) == ([6, 6, 6, 3, 3, 3, 0], [6, 5, 5, 5, 2, 2, 2], [1, 4, 7])
+        assert [head[:c] + tail[c:] for c in cuts] == [list(seq) for seq in fnk_placement_degrees(7, 3)]
+        # r = 0 leaves one member, the residual-last chain, cut at n.
+        assert fnk_placement_ends(6, 3) == ([5, 5, 5, 2, 2, 2], [5, 5, 5, 2, 2, 2], range(6, 7))
 
     def test_position_validation(self):
         with pytest.raises(ValueError, match="multiple"):

@@ -5,15 +5,23 @@ from hypothesis import given, strategies as st
 
 from stlab import majorization
 from stlab.digraph import out_degree_sequence
-from stlab.families import enumerate_fnk_members, gen_fnk, gen_transitive_tournament
+from stlab.families import (
+    enumerate_fnk_members,
+    fnk_placement_arcs,
+    fnk_placement_ends,
+    gen_fnk,
+    gen_transitive_tournament,
+)
 from stlab.invariants import laplacian_energy
 from stlab.majorization import (
     KaramataVerdict,
-    fnk_placement_measures,
+    fnk_placement_energies,
     karamata_square_check,
     majorizes,
     verify_fnk_ordering,
 )
+
+from conftest import fnk_placement_degrees
 
 
 def sorted_seqs(max_len=10, max_val=20):
@@ -161,39 +169,65 @@ def test_ordering_rejects_nonpositive_arguments(n, k):
 
 
 def test_placement_measures_match_built_members():
-    # Every order and block size, including k > n and the r = 0 chains, against the built members.
+    # Every order and block size, including k > n and the r = 0 chains: the prefix-sum
+    # energies, arcs and ordering check against the built members, the spliced outdegree
+    # sequences against the block-by-block reference, and the public majorizes on every
+    # consecutive pair of built sequences.
     # The k = 1 chain is the transitive tournament, so this also checks thm1.5's generator column.
     members = 0
     for n in range(1, 65):
         assert gen_fnk(n, 1) == gen_transitive_tournament(n), n
         for k in range(1, n + 2):
-            built = [(laplacian_energy(g), out_degree_sequence(g)) for g in enumerate_fnk_members(n, k)]
-            assert fnk_placement_measures(n, k) == built, (n, k)
+            built = enumerate_fnk_members(n, k)
+            energies = [laplacian_energy(g) for g in built]
+            seqs = [out_degree_sequence(g) for g in built]
+            assert fnk_placement_energies(n, k) == energies, (n, k)
+            assert fnk_placement_arcs(n, k) == [g.e for g in built], (n, k)
+            head, tail, cuts = fnk_placement_ends(n, k)
+            assert [tuple(head[:c] + tail[c:]) for c in cuts] == seqs == fnk_placement_degrees(n, k), (n, k)
+            assert all(map(majorizes, seqs[1:], seqs)), (n, k)
+            if len(built) > 1:
+                assert verify_fnk_ordering(n, k) == list(enumerate(energies)), (n, k)
             members += len(built)
     assert members == 6845
 
 
+def _patch_ends(monkeypatch, edit):
+    """Hand verify_fnk_ordering F(7, 3)'s (head, tail, cuts) after edit(head, tail)."""
+    head, tail, cuts = fnk_placement_ends(7, 3)
+    monkeypatch.setattr(majorization, "fnk_placement_ends", lambda n, k: (*edit(head, tail), cuts))
+
+
 def test_ordering_reports_majorization_violation(monkeypatch):
-    # Hand over the placements in reverse order with energies that still
-    # increase, so the chain of outdegree sequences runs backwards.
-    backwards = [gen_fnk(7, 3, s + 1) for s in reversed(range(3))]
-    measures = [(s, out_degree_sequence(g)) for s, g in enumerate(backwards)]
-    monkeypatch.setattr(majorization, "fnk_placement_measures", lambda n, k: measures)
+    # A smaller sum in placement 0's tail window [1, 4): the totals disagree, while
+    # every placement stays non-increasing and the energies still increase.
+    _patch_ends(monkeypatch, lambda head, tail: (head, tail[:3] + [4] + tail[4:]))
     with pytest.raises(ArithmeticError, match="majorization violated at n=7, k=3: placement 1"):
         verify_fnk_ordering(7, 3)
+    # Equal totals, but placement 0's prefix sums pass placement 1's inside the window [1, 5).
+    head, tail = [9, 7, 7, 4, 3, 3, 2, 1, 0], [9, 8, 5, 4, 4, 3, 1, 1, 1]
+    monkeypatch.setattr(majorization, "fnk_placement_ends", lambda n, k: (head, tail, range(1, 10, 4)))
+    with pytest.raises(ArithmeticError, match="majorization violated at n=9, k=4: placement 1"):
+        verify_fnk_ordering(9, 4)
 
 
 def test_ordering_reports_energy_violation(monkeypatch):
-    measures = fnk_placement_measures(7, 3)
-    monkeypatch.setattr(majorization, "fnk_placement_measures", lambda n, k: [(0, seq) for _, seq in measures])
+    # Swapped ends run the placements backwards: residual last first.
+    _patch_ends(monkeypatch, lambda head, tail: (tail, head))
     with pytest.raises(ArithmeticError, match="energy ordering violated at n=7, k=3"):
         verify_fnk_ordering(7, 3)
 
 
 def test_ordering_reports_non_increasing_violation(monkeypatch):
-    # Each placement's outdegree sequence is checked once, with the ValueError majorizes raises.
-    measures = fnk_placement_measures(7, 3)
-    measures[1] = (measures[1][0], measures[1][1][::-1])
-    monkeypatch.setattr(majorization, "fnk_placement_measures", lambda n, k: measures)
-    with pytest.raises(ValueError, match="placement 1 is not non-increasing"):
+    # Each placement is head[:c] + tail[c:]: a rise in tail shows first in placement 0,
+    # a rise in head first in the earliest placement whose cut passes it, and a rise at a
+    # cut in that placement alone.
+    _patch_ends(monkeypatch, lambda head, tail: (head, tail[::-1]))
+    with pytest.raises(ValueError, match=r"placement 0 is not non-increasing: \(6, 2, 2, 5, 5, 5, 6\)"):
+        verify_fnk_ordering(7, 3)
+    _patch_ends(monkeypatch, lambda head, tail: ([5] + head[1:], tail))
+    with pytest.raises(ValueError, match=r"placement 1 is not non-increasing: \(5, 6, 6, 3, 2, 2, 2\)"):
+        verify_fnk_ordering(7, 3)
+    _patch_ends(monkeypatch, lambda head, tail: (head, tail[:4] + [4, 4, 4]))
+    with pytest.raises(ValueError, match=r"placement 1 is not non-increasing: \(6, 6, 6, 3, 4, 4, 4\)"):
         verify_fnk_ordering(7, 3)
