@@ -197,10 +197,7 @@ def _ordering_rows(n_max: int, k_hi: int) -> list[ClaimRow]:
                 generator = energies[-1][1]
                 ok = generator == formula
                 witness = "increasing" if ok else WITNESS_MISMATCH
-            except (ArithmeticError, ValueError):
-                # A failed check: energy or majorization order (ArithmeticError) or
-                # a placement that is not non-increasing (ValueError).  n and k are
-                # valid and leave a residual here, so no usage error can reach it.
+            except ArithmeticError:
                 generator = None
                 witness = WITNESS_MISMATCH
                 ok = False

@@ -86,10 +86,10 @@ def verify_fnk_ordering(n: int, k: int) -> list[tuple[int, int]]:
     """Laplacian energies of the residual-block placements, checked increasing.
 
     Returns [(s, LE of the member with the residual block at position s+1)]
-    for s = 0..q.  Raises ValueError if a placement's outdegree sequence is
-    not non-increasing, and ArithmeticError if the energies are not
-    strictly increasing in s or if a later placement fails to majorize an
-    earlier one (prefix sums of the outdegree sequence, checked between
+    for s = 0..q.  Raises ArithmeticError if a placement's outdegree
+    sequence is not non-increasing, if the energies are not strictly
+    increasing in s or if a later placement fails to majorize an earlier
+    one (prefix sums of the outdegree sequence, checked between
     consecutive placements).  Raises ValueError unless n and k are >= 1,
     and when there is a single member with nothing to order: n % k == 0,
     or n < k.  The placements are measured from fnk_placement_ends'
@@ -105,7 +105,7 @@ def verify_fnk_ordering(n: int, k: int) -> list[tuple[int, int]]:
     tail_start = max(compress(count(), map(operator.lt, tail, tail[1:])), default=-1)
     for s, c in enumerate(cuts):
         if not tail_start < c <= head_stop or 0 < c < n and head[c - 1] < tail[c]:
-            raise ValueError(f"placement {s} is not non-increasing: {tuple(head[:c] + tail[c:])}")
+            raise ArithmeticError(f"placement {s} is not non-increasing: {tuple(head[:c] + tail[c:])}")
     energies = _energies(n, k, head, tail, cuts)
     if not all(map(operator.lt, energies, energies[1:])):
         s = next(s for s in range(len(cuts) - 1) if not energies[s] < energies[s + 1])

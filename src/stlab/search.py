@@ -5,11 +5,14 @@ LE, First Zagreb index M1 or arc count ARCS) over the C_L-free digraphs on
 n vertices, with every isomorphism class attaining it, by a threshold
 descent.  Summed over the m one-vertex deletions G - v of a digraph G on m
 vertices, the objectives obey exact identities: ARCS sums to (m-2)e, M1 to
-(m-3)M1 + e and LE to (m-3)LE + e + c2.  With M1 <= (m-1)e and LE <= m*e,
-a value of at least T makes the sum at least (m-2)T, (m-3)T + ceil(T/(m-1))
-or (m-3)T + ceil(T/m), so some deletion keeps at least T_{m-1} = ceil(sum/m)
-(the averaging argument of Katona, Nemetz and Simonovits, 1964); M1 and LE
-use T = 0 below m = 3.  Being C_L-free is hereditary, so level m, every
+(m-3)M1 + e and LE to (m-3)LE + e + c2.  Every outdegree is at most m-1,
+so M1 <= (m-1)e and LE = M1 + c2 <= (m-1)(e + c2): e >= ceil(M1/(m-1))
+and e + c2 >= ceil(LE/(m-1)).  For m >= 3 a value of at least T
+therefore makes the sum at least (m-2)T for ARCS and (m-3)T + ceil(T/(m-1))
+for M1 and LE alike, so some deletion keeps at least T_{m-1} = ceil(sum/m)
+(the averaging argument of Katona, Nemetz and Simonovits, 1964).  At m = 2
+every outdegree is 0 or 1, so M1 = e, both sums are exactly 0, and the
+shared rule gives 0.  Being C_L-free is hereditary, so level m, every
 C_L-free digraph on m vertices with value >= T_m up to isomorphism, grows
 from level m-1 by one-vertex extensions.  The new vertex sends arcs to a
 set O and receives arcs from a set I; it closes a C_L exactly when a simple
@@ -43,13 +46,13 @@ to sort and emit the witnesses; the report keeps those canonical forms, so
 nothing labels a witness again.
 
 T_n is the best value among family members that find_cycle_of_length
-confirms C_L-free and that meet the scope: the transitive tournament, K_n
-when L > n, the fnk chains with k = L-1 and, for L = 3, the bk01 chains.
-Any such lower bound keeps the descent exact, and none is a closed form, so
-the oracle stays independent of the claims it checks.  connected_only
-filters the top level; every seed is connected.  The cost grows with the
-number of classes above the thresholds, not with the 2^(n(n-1)) labelled
-digraphs the answer is exact over.
+confirms C_L-free and that meet the scope: the transitive tournament, the
+fnk chains with k = L-1 (the single block K_n when L > n) and, for L = 3,
+the bk01 chains.  Any such lower bound keeps the descent exact, and none is
+a closed form, so the oracle stays independent of the claims it checks.
+connected_only filters the top level; every seed is connected.  The cost
+grows with the number of classes above the thresholds, not with the
+2^(n(n-1)) labelled digraphs the answer is exact over.
 
 Every loop-free digraph on n labelled vertices is also one integer mask
 over the n(n-1) ordered pairs, taken in row-major order skipping the
@@ -105,7 +108,6 @@ from stlab.digraph import _ROW_CODES, Digraph, _iter_bits, _relabelled_rows, in_
 from stlab.families import (
     enumerate_bk01_members,
     enumerate_fnk_members,
-    gen_complete_digraph,
     gen_transitive_tournament,
 )
 from stlab.invariants import first_zagreb, laplacian_energy
@@ -151,22 +153,14 @@ def _threshold_below(objective: str, m: int, t: int) -> int:
     """T_{m-1} from T_m = t: some deletion of a digraph on m vertices with value >= t keeps this much."""
     if objective == "ARCS":
         total = (m - 2) * t
-    elif m - 1 < 3:
-        return 0
-    elif objective == "M1":
-        total = (m - 3) * t - (-t // (m - 1))
     else:
-        total = (m - 3) * t - (-t // m)
+        total = (m - 3) * t - (-t // (m - 1))
     return -(-total // m)
 
 
 def _seed_value(n: int, length: int, measure: Callable[[Digraph], int], connected_only: bool) -> int:
     """Best value among family members confirmed C_length-free: a lower bound on the maximum."""
-    seeds = [gen_transitive_tournament(n)]
-    if length > n:
-        seeds.append(gen_complete_digraph(n))
-    if length - 1 <= n:
-        seeds += enumerate_fnk_members(n, length - 1)
+    seeds = [gen_transitive_tournament(n), *enumerate_fnk_members(n, length - 1)]
     if length == 3:
         seeds += enumerate_bk01_members(n)
     return max(

@@ -12,6 +12,7 @@ from stlab.digraph import Digraph, build_digraph, in_rows, is_weakly_connected, 
 from stlab.families import (
     bk01_compositions,
     enumerate_bk01_members,
+    enumerate_fnk_members,
     gen_bk,
     gen_complete_digraph,
     gen_fnk,
@@ -198,7 +199,7 @@ class TestDescentPremises:
         assert sum(below["ARCS"]) == (m - 2) * e
         assert sum(below["M1"]) == (m - 3) * values["M1"] + e
         assert sum(below["LE"]) == (m - 3) * values["LE"] + e + c2(g)
-        assert values["M1"] <= (m - 1) * e and values["LE"] <= m * e
+        assert values["M1"] <= (m - 1) * e and values["LE"] <= (m - 1) * (e + c2(g))
         for objective, value in values.items():
             assert max(below[objective]) >= _threshold_below(objective, m, value), (g, objective)
 
@@ -211,6 +212,15 @@ class TestDescentPremises:
         rng = random.Random(59)
         for _ in range(300):
             self._check(random_digraph(rng, rng.randint(2, 10), rng.choice((0.2, 0.5, 0.8, 1.0))))
+
+    def test_family_members(self):
+        # The extremal families, on which the bounds are nearly tight; k = n gives K_n.
+        for n in range(2, 11):
+            members = enumerate_bk01_members(n)
+            for k in range(1, n + 1):
+                members += enumerate_fnk_members(n, k)
+            for g in members:
+                self._check(g)
 
 
 class TestDeletionFilter:
@@ -331,6 +341,49 @@ def test_tournament_class_counts(n, classes):
     assert (report.max_value, len(report.witnesses)) == (n * (n - 1) // 2, classes)
 
 
+def test_small_order_reports_pinned():
+    # Every report for n = 1..7: L = 2..n+1, each objective and scope, 168
+    # settings.  A change to the thresholds, the seeds or the dedup must keep
+    # every maximum and witness byte.
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for length in range(2, n + 2):
+            for objective in OBJECTIVES:
+                for scope in SCOPES:
+                    report = search_extremal(n, length, objective, scope=scope, allow_slow=True)
+                    digest.update(dumps(report_json(report)).encode())
+    assert digest.hexdigest() == "9aba9679bee34d2024fabc320bcdb1060a25df5bbd68b7407bc46b7c500f437a"
+
+
+def _census(length, n_max):
+    """Classes of C_length-free digraphs on 1..n_max vertices: the descent's level sizes with every threshold 0."""
+    level = [(None, Digraph(1, (0,)))]
+    counts = [len(level)]
+    for _ in range(2, n_max + 1):
+        level = search._next_level(level, length, "ARCS", 0)
+        counts.append(len(level))
+    return counts
+
+
+class TestCensus:
+    """With every threshold 0 each level holds every C_L-free class once: the key filter, buckets and labeller."""
+
+    def test_all_digraphs(self):
+        # L > n excludes nothing: digraphs on n unlabelled vertices (OEIS A000273).
+        assert _census(6, 5) == [1, 3, 16, 218, 9608]
+
+    def test_oriented_graphs(self):
+        # L = 2 excludes digons: oriented graphs on n unlabelled vertices (OEIS A001174).
+        assert _census(2, 6) == [1, 2, 7, 42, 582, 21480]
+
+    def test_c3_free(self):
+        counts = _census(3, 5)
+        brute = [len({canonical_label(g).data for g in enumerate_digraphs(n) if is_ck_free(g, 3)}) for n in (2, 3, 4)]
+        assert counts[1:4] == brute == [3, 12, 99]
+        # No published table at hand: a regression pin.
+        assert counts[4] == 1596
+
+
 N6_TABLE = {  # forbidden length: (max, classes) for LE, M1, ARCS; equal for both scopes
     2: ((55, 1), (55, 1), (15, 56)),
     3: ((76, 3), (70, 1), (18, 4)),
@@ -368,9 +421,9 @@ def test_search_report_matches_golden(tmp_path, argv):
 
 def test_n5_grid_label_count(tmp_path, monkeypatch):
     # Labels run only on bucket collisions and for unlabelled members at the
-    # maximum, and the report reuses the witness forms: 238 calls over the 30
+    # maximum, and the report reuses the witness forms: 214 calls over the 30
     # settings, where labelling every key-maximal extension and relabelling
-    # every reported witness made 508.
+    # every reported witness made 508 (238 before LE shared M1's threshold).
     calls = []
     label = search.canonical_label
 
@@ -382,7 +435,7 @@ def test_n5_grid_label_count(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "canonical_label", counting)
     for argv in N5_GRID:
         assert main(list(argv) + ["--out", str(tmp_path / "report.json")]) == 0
-    assert len(calls) == 238
+    assert len(calls) == 214
 
 
 class TestIsomorphism:
