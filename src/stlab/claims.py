@@ -30,19 +30,18 @@ the oracle alone.  Rows beyond the cap keep their oracle columns marked
 has no oracle; its rows run the ordering check, which builds no digraph
 either, and a failed check is a FAIL row.
 
-Caps: n_max is at most MAX_VERTICES (64), the largest bit-row Digraph.
-The oracle runs for n <= oracle_cap, which defaults to 5.  ISO_CAP (16)
-bounds the search, whose levels and witness classes are told apart by
-canonical_label, so an oracle_cap that would run it above ISO_CAP is an
-error, not a silent clamp.  A larger oracle_cap is the caller's opt-in to
-the slower n >= 6 searches (search_extremal's allow_slow).
+Caps: n_max has none.  The oracle runs for n <= oracle_cap, default 5.
+ISO_CAP (16) bounds the search, whose levels and witness classes are told
+apart by canonical_label, so an oracle_cap that would run it above ISO_CAP
+is an error, not a silent clamp.  A larger oracle_cap is the caller's
+opt-in to the slower n >= 6 searches (search_extremal's allow_slow).
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from stlab.digraph import MAX_VERTICES, Digraph
+from stlab.digraph import Digraph
 # gen_transitive_tournament, first_zagreb and laplacian_energy stay importable here: perfbench's tracer wraps them at this site.
 from stlab.families import (
     bk01_energy_range,
@@ -149,8 +148,6 @@ def verify_theorem(tag: str, n_max: int, k_max: int = 5, oracle_cap: int = 5) ->
         raise ValueError(f"unknown tag {tag!r}; expected one of {TAGS}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if n_max > MAX_VERTICES:
-        raise ValueError(f"n_max must be <= MAX_VERTICES = {MAX_VERTICES}, got {n_max}")
     if oracle_cap < 0:
         raise ValueError(f"oracle_cap must be >= 0, got {oracle_cap}")
     if min(oracle_cap, n_max) > ISO_CAP:

@@ -23,12 +23,12 @@ onto the residual-first one at one cut (``fnk_placement_ends``).  So a
 sum over any placement is two prefix-sum lookups, and
 ``fnk_placement_arcs``, ``majorization.fnk_placement_energies``,
 ``majorization.verify_fnk_ordering`` and the claims' generator columns
-do O(n) work per (n, k).
+do O(n) work per (n, k), at any order: only what builds a Digraph is held
+to MAX_VERTICES.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -52,17 +52,11 @@ class FamilySpec(NamedTuple):
     parts: tuple[int, ...] | None = None
 
 
-# Block-local rows per block size.  Sizes come from validated specs, which
-# cap them at MAX_VERTICES, so each cache holds at most MAX_VERTICES entries.
-
-
-@lru_cache(maxsize=None)
 def _complete_rows(size: int) -> tuple[int, ...]:
     full = (1 << size) - 1
     return tuple(full ^ (1 << i) for i in range(size))
 
 
-@lru_cache(maxsize=None)
 def _bipartite_rows(size: int) -> tuple[int, ...]:
     first = (size + 1) // 2
     side_a = (1 << first) - 1
@@ -144,7 +138,6 @@ def fnk_placement_ends(n: int, k: int) -> tuple[list[int], list[int], range]:
     """
     if k < 1 or n < 1:
         raise ValueError("n and k must be >= 1")
-    _check_order(n)
     r = n % k
     # Residual last: vertex v is in the block starting at v // k * k.
     head = [n - 1 - v // k * k for v in range(n)]
@@ -175,7 +168,8 @@ def bk01_compositions(n: int) -> list[tuple[int, ...]]:
 
     Even n: all compositions into parts from {4, 2}.  Odd n: compositions
     with parts from {4, 2} followed by one final part of 3 or 1.  Listed in
-    descending lexicographic order.
+    descending lexicographic order.  Capped at MAX_VERTICES: its caller,
+    enumerate_bk01_members, builds one digraph per composition.
     """
     _check_order(n)
 
@@ -201,7 +195,8 @@ def bk01_energy_range(n: int) -> tuple[int, int]:
     vertices adds a(b+t)^2 + b(a+t)^2 + 2ab.  span[m] is the range over the
     last m vertices; it holds only m of n's parity, so 3 and 1 end a chain.
     """
-    _check_order(n)
+    if n < 1:
+        raise ValueError(f"order n must be >= 1, got {n}")
     span = {0: (0, 0)}
     for m in range(2 - n % 2, n + 1, 2):
         options = []

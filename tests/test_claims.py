@@ -109,16 +109,12 @@ def test_oracle_cap_above_iso_cap_with_small_grid(monkeypatch):
     assert [args[-1] for args in calls] == [ISO_CAP, 64]
 
 
-def test_thm16_runs_to_max_vertices(capsys):
-    # The bk01 energies come from a composition DP, so thm1.6 has no cap of
-    # its own: it runs to MAX_VERTICES, and one order above is a usage error.
-    rows = verify_theorem("thm1.6", MAX_VERTICES)
-    assert [row.n for row in rows] == list(range(1, MAX_VERTICES + 1))
+def test_thm16_runs_past_max_vertices():
+    # The bk01 energies come from a composition DP and build no Digraph, so
+    # MAX_VERTICES does not bound thm1.6.
+    rows = verify_theorem("thm1.6", 256)
+    assert [row.n for row in rows] == list(range(1, 257))
     assert all(row.ok and row.generator == row.formula for row in rows)
-    assert main(["verify", "thm1.6", "--n-max", str(MAX_VERTICES + 1)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"n_max must be <= MAX_VERTICES = {MAX_VERTICES}, got {MAX_VERTICES + 1}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -156,6 +152,23 @@ def test_fnk_placements_are_measured_from_block_sizes(monkeypatch, tag, k_max, b
     rows = verify_theorem(tag, MAX_VERTICES, k_max)
     assert rows and all(row.ok for row in rows)
     assert sorted(set(built)) == built_orders
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_no_row_above_oracle_cap_builds_a_digraph(monkeypatch, tag):
+    # Every generator column is measured from block sizes; only the oracle's
+    # expected witnesses, at n <= oracle_cap (5 by default), are built.
+    original = families._block_chain
+
+    def capped(sizes, rows):
+        if sum(sizes) > 5:
+            raise AssertionError(f"built an order-{sum(sizes)} digraph above the oracle cap")
+        return original(sizes, rows)
+
+    monkeypatch.setattr(families, "_block_chain", capped)
+    rows = verify_theorem(tag, 128, k_max=8)
+    assert rows and all(row.ok for row in rows)
+    assert max(row.n for row in rows) == 128
 
 
 def test_found_witnesses_are_not_relabelled(monkeypatch):

@@ -192,6 +192,28 @@ def test_placement_measures_match_built_members():
     assert members == 6845
 
 
+@pytest.mark.parametrize("n", [65, 100, 127, 128, 129, 200, 256])
+def test_placement_measures_match_block_reference_past_max_vertices(n):
+    # No Digraph holds these orders, and fnk_block_sizes is capped with it, so
+    # the reference lays out each placement's blocks [k]*p + [r] + [k]*(q-p)
+    # itself: a vertex of the block starting at label s has outdegree n - 1 - s,
+    # and a complete block of size b closes b(b-1) 2-walks.
+    for k in range(1, n + 2):
+        q, r = divmod(n, k)
+        arcs, energies = [], []
+        for p in range(q + 1) if r else [q]:
+            sizes = [k] * p + [r] * bool(r) + [k] * (q - p)
+            seq: list[int] = []
+            for size in sizes:
+                seq += [n - 1 - len(seq)] * size
+            arcs.append(sum(seq))
+            energies.append(sum(d * d for d in seq) + sum(b * (b - 1) for b in sizes))
+        assert fnk_placement_arcs(n, k) == arcs, (n, k)
+        assert fnk_placement_energies(n, k) == energies, (n, k)
+        if r and q:
+            assert verify_fnk_ordering(n, k) == list(enumerate(energies)), (n, k)
+
+
 def _patch_ends(monkeypatch, edit):
     """Hand verify_fnk_ordering F(7, 3)'s (head, tail, cuts) after edit(head, tail)."""
     head, tail, cuts = fnk_placement_ends(7, 3)
