@@ -50,8 +50,6 @@ from stlab.search import (
     ExtremalSearchReport,
     are_isomorphic,
     canonical_label,
-    digraph_from_mask,
-    enumerate_digraphs,
     search_extremal,
 )
 

@@ -171,8 +171,8 @@ def _swap_rounds(size: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _transpose_layout(n: int) -> tuple[int, struct.Struct, tuple[tuple[int, int], ...]]:
-    """(stride, codec, rounds) of the packed transpose of an n x n bit matrix.
+def _transpose_layout(n: int) -> tuple[struct.Struct, tuple[tuple[int, int], ...]]:
+    """(codec, rounds) of the packed transpose of an n x n bit matrix.
 
     The matrix is taken as size x size, size the next power of two >= n,
     with rows at a stride of max(8, size) bits so that a row is a whole
@@ -183,29 +183,29 @@ def _transpose_layout(n: int) -> tuple[int, struct.Struct, tuple[tuple[int, int]
     """
     size = 1 << (n - 1).bit_length()
     stride = max(8, size)
-    return stride, struct.Struct(f"<{n}{_ROW_CODES[stride]}"), _swap_rounds(size)
+    return struct.Struct(f"<{n}{_ROW_CODES[stride]}"), _swap_rounds(size)
 
 
-def _packed_transpose(rows: Sequence[int]) -> tuple[int, int, int]:
-    """(stride, A, A^T): the n rows of an n x n bit matrix packed at ``stride`` bits apart, and their transpose.
+def _packed_transpose(rows: Sequence[int]) -> tuple[int, int]:
+    """(A, A^T): the n rows of an n x n bit matrix packed into one int, and their transpose.
 
     The rows are packed by one call of the layout's codec, and the
     transpose is log2(size) masked block swaps of the packed int, size the
     next power of two >= n (_transpose_layout).  Bits at columns >= n, and
     rows >= n of A^T, are zero, so _unpack_rows reads A^T back as n rows.
     """
-    stride, codec, rounds = _transpose_layout(len(rows))
+    codec, rounds = _transpose_layout(len(rows))
     packed = int.from_bytes(codec.pack(*rows), "little")
     transposed = packed
     for shift, mask in rounds:
         swap = (transposed ^ (transposed >> shift)) & mask
         transposed ^= swap ^ (swap << shift)
-    return stride, packed, transposed
+    return packed, transposed
 
 
 def _unpack_rows(packed: int, n: int) -> tuple[int, ...]:
     """The n rows of a packed n x n bit matrix: the inverse of the packing in _packed_transpose."""
-    codec = _transpose_layout(n)[1]
+    codec = _transpose_layout(n)[0]
     return codec.unpack(packed.to_bytes(codec.size, "little"))
 
 
@@ -218,14 +218,14 @@ def _relabelled_rows(ins: Sequence[int], order: Sequence[int]) -> tuple[int, ...
     one packed transpose gives that matrix, and its rows taken in the same
     order are the relabelled rows.
     """
-    _, _, transposed = _packed_transpose([ins[v] for v in order])
+    _, transposed = _packed_transpose([ins[v] for v in order])
     cols = _unpack_rows(transposed, len(order))
     return tuple([cols[v] for v in order])
 
 
 def in_rows(g: Digraph) -> tuple[int, ...]:
     """In-neighbour bitmask per vertex: bit u of entry v is set exactly when (u, v) is an arc."""
-    _, _, transposed = _packed_transpose(g.rows)
+    _, transposed = _packed_transpose(g.rows)
     return _unpack_rows(transposed, g.n)
 
 
@@ -235,7 +235,7 @@ def digon_count(g: Digraph) -> int:
     Half the popcount of A & A^T, with A^T the packed transpose that in_rows
     unpacks (the diagonal is empty because loops are not allowed).
     """
-    _, packed, transposed = _packed_transpose(g.rows)
+    packed, transposed = _packed_transpose(g.rows)
     return (packed & transposed).bit_count() // 2
 
 

@@ -46,18 +46,13 @@ to sort and emit the witnesses; the report keeps those canonical forms, so
 nothing labels a witness again.
 
 T_n is the best value among family members that find_cycle_of_length
-confirms C_L-free and that meet the scope: the transitive tournament, the
-fnk chains with k = L-1 (the single block K_n when L > n) and, for L = 3,
-the bk01 chains.  Any such lower bound keeps the descent exact, and none is
-a closed form, so the oracle stays independent of the claims it checks.
-connected_only filters the top level; every seed is connected.  The cost
-grows with the number of classes above the thresholds, not with the
-2^(n(n-1)) labelled digraphs the answer is exact over.
-
-Every loop-free digraph on n labelled vertices is also one integer mask
-over the n(n-1) ordered pairs, taken in row-major order skipping the
-diagonal (bit u*(n-1) + (v if v < u else v - 1) is the arc (u, v));
-enumerate_digraphs walks all of them.
+confirms C_L-free and that meet the scope: the fnk chains with k = L-1 (the
+single block K_n when L > n, the transitive tournament when L = 2) and, for
+L = 3, the bk01 chains.  Any such lower bound keeps the descent exact, and
+none is a closed form, so the oracle stays independent of the claims it
+checks.  connected_only filters the top level; every seed is connected.
+The cost grows with the number of classes above the thresholds, not with
+the 2^(n(n-1)) labelled digraphs the answer is exact over.
 
 The canonical label is the minimum row serialization over all vertex
 relabellings compatible with iterated (outdegree, indegree) colour
@@ -105,14 +100,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from stlab.cycles import find_cycle_of_length, path_ends
 from stlab.digraph import _ROW_CODES, Digraph, _iter_bits, _relabelled_rows, in_rows, is_weakly_connected
-from stlab.families import (
-    enumerate_bk01_members,
-    enumerate_fnk_members,
-    gen_transitive_tournament,
-)
+from stlab.families import enumerate_bk01_members, enumerate_fnk_members
 from stlab.invariants import first_zagreb, laplacian_energy
 
-ENUM_CAP = 5
 # CanonicalForm stores each row in ROW_BYTES bytes, one bit per vertex, as one
 # big-endian unsigned struct field; that width is the largest order labelled.
 ROW_BYTES = 2
@@ -121,28 +111,6 @@ _ROW_CODE = _ROW_CODES[ISO_CAP]
 OBJECTIVES = ("LE", "M1", "ARCS")
 SCOPES = ("all", "connected_only")
 _MEASURES: dict[str, Callable[[Digraph], int]] = {"LE": laplacian_energy, "M1": first_zagreb, "ARCS": lambda g: g.e}
-
-
-# ---------------------------------------------------------------------------
-# Mask encoding
-
-
-def digraph_from_mask(n: int, mask: int) -> Digraph:
-    w = n - 1
-    group = (1 << w) - 1
-    rows = []
-    for u in range(n):
-        grp = (mask >> (u * w)) & group
-        rows.append((grp & ((1 << u) - 1)) | ((grp >> u) << (u + 1)))
-    return Digraph(n, tuple(rows))
-
-
-def enumerate_digraphs(n: int):
-    """Yield every loop-free digraph on n labelled vertices exactly once."""
-    if not 1 <= n <= ENUM_CAP:
-        raise ValueError(f"enumeration is capped at n <= {ENUM_CAP}, got {n}")
-    for mask in range(1 << (n * (n - 1))):
-        yield digraph_from_mask(n, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +128,7 @@ def _threshold_below(objective: str, m: int, t: int) -> int:
 
 def _seed_value(n: int, length: int, measure: Callable[[Digraph], int], connected_only: bool) -> int:
     """Best value among family members confirmed C_length-free: a lower bound on the maximum."""
-    seeds = [gen_transitive_tournament(n), *enumerate_fnk_members(n, length - 1)]
+    seeds = enumerate_fnk_members(n, length - 1)
     if length == 3:
         seeds += enumerate_bk01_members(n)
     return max(

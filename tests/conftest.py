@@ -14,6 +14,27 @@ def random_digraph(rng: random.Random, n: int, p: float = 0.5) -> Digraph:
     return build_digraph(n, arcs)
 
 
+def digraph_from_mask(n: int, mask: int) -> Digraph:
+    """The digraph of one mask over the n(n-1) ordered pairs.
+
+    Pairs are taken in row-major order skipping the diagonal: bit
+    u*(n-1) + (v if v < u else v - 1) is the arc (u, v).
+    """
+    w = n - 1
+    group = (1 << w) - 1
+    rows = []
+    for u in range(n):
+        grp = (mask >> (u * w)) & group
+        rows.append((grp & ((1 << u) - 1)) | ((grp >> u) << (u + 1)))
+    return Digraph(n, tuple(rows))
+
+
+def enumerate_digraphs(n: int):
+    """Yield every loop-free digraph on n labelled vertices exactly once (2^(n(n-1)) of them)."""
+    for mask in range(1 << (n * (n - 1))):
+        yield digraph_from_mask(n, mask)
+
+
 def naive_find_cycle(g: Digraph, length: int):
     """Reference detector: try every sequence of `length` distinct vertices."""
     import itertools

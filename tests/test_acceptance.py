@@ -23,10 +23,10 @@ from stlab.families import (
 from stlab.formulas import ex_arcs_ck, ex_le_ck, ex_le_cubic, ex_m1_c3
 from stlab.invariants import c2, first_zagreb, laplacian_energy, trace_L_squared
 from stlab.majorization import KaramataVerdict, karamata_square_check, majorizes, verify_fnk_ordering
-from stlab.search import are_isomorphic, canonical_label, enumerate_digraphs, search_extremal
+from stlab.search import are_isomorphic, canonical_label, search_extremal
 from stlab.serialize import dumps, report_json
 
-from conftest import random_digraph
+from conftest import enumerate_digraphs, random_digraph
 
 
 @contextmanager

@@ -6,9 +6,8 @@ import pytest
 from stlab.cycles import _strong_components, find_cycle_of_length, is_ck_free, path_ends
 from stlab.digraph import Digraph, _reach_layers, build_digraph, digon_count, in_rows, permute
 from stlab.families import gen_bk, gen_complete_digraph, gen_fnk, gen_transitive_tournament
-from stlab.search import enumerate_digraphs
 
-from conftest import naive_find_cycle, random_digraph
+from conftest import enumerate_digraphs, naive_find_cycle, random_digraph
 
 DIGON = build_digraph(2, [(0, 1), (1, 0)])
 

@@ -14,9 +14,8 @@ from stlab.digraph import (
     permute,
 )
 from stlab.families import gen_fnk, gen_transitive_tournament
-from stlab.search import digraph_from_mask, enumerate_digraphs
 
-from conftest import random_digraph
+from conftest import digraph_from_mask, enumerate_digraphs, random_digraph
 
 
 def masked_digraphs(max_n=7):
@@ -190,6 +189,6 @@ def test_swap_rounds_are_built_once_per_size():
     # The block-swap masks depend on the power-of-two size alone, so n = 33..64 share one tuple.
     for n in range(1, 65):
         digraph._transpose_layout(n)
-    assert digraph._transpose_layout(33)[2] is digraph._transpose_layout(64)[2]
-    assert digraph._transpose_layout(9)[2] is not digraph._transpose_layout(8)[2]
+    assert digraph._transpose_layout(33)[1] is digraph._transpose_layout(64)[1]
+    assert digraph._transpose_layout(9)[1] is not digraph._transpose_layout(8)[1]
     assert digraph._swap_rounds.cache_info().currsize <= 7

@@ -13,9 +13,8 @@ from stlab.invariants import (
     measure,
     trace_L_squared,
 )
-from stlab.search import digraph_from_mask, enumerate_digraphs
 
-from conftest import random_digraph
+from conftest import digraph_from_mask, enumerate_digraphs, random_digraph
 
 DIGON = build_digraph(2, [(0, 1), (1, 0)])
 

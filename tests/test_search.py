@@ -33,13 +33,11 @@ from stlab.search import (
     _threshold_below,
     are_isomorphic,
     canonical_label,
-    digraph_from_mask,
-    enumerate_digraphs,
     search_extremal,
 )
 from stlab.serialize import dumps, report_json
 
-from conftest import random_digraph
+from conftest import digraph_from_mask, enumerate_digraphs, random_digraph
 
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
 DIGON = build_digraph(2, [(0, 1), (1, 0)])
@@ -162,11 +160,6 @@ class TestMaskEncoding:
         for g in enumerate_digraphs(n):
             seen.add(g.rows)
         assert len(seen) == count
-
-    def test_enumeration_cap(self):
-        for n in (6, 7):
-            with pytest.raises(ValueError, match="capped"):
-                list(enumerate_digraphs(n))
 
 
 class TestSweepKernel:
@@ -353,6 +346,26 @@ def test_small_order_reports_pinned():
                     report = search_extremal(n, length, objective, scope=scope, allow_slow=True)
                     digest.update(dumps(report_json(report)).encode())
     assert digest.hexdigest() == "9aba9679bee34d2024fabc320bcdb1060a25df5bbd68b7407bc46b7c500f437a"
+
+
+def test_seed_value_needs_no_transitive_tournament():
+    # Every fnk(n, L-1) member holds the arc u -> v for every u < v (at L = 2
+    # it is the transitive tournament), so it dominates the tournament on
+    # every objective and the tournament raises no T_n.
+    for n in range(1, ISO_CAP + 1):
+        for length in range(2, n + 2):
+            seeds = [gen_transitive_tournament(n), *enumerate_fnk_members(n, length - 1)]
+            if length == 3:
+                seeds += enumerate_bk01_members(n)
+            for objective, value in MEASURES.items():
+                for connected_only in (False, True):
+                    want = max(
+                        value(g)
+                        for g in seeds
+                        if is_ck_free(g, length) and (is_weakly_connected(g) or not connected_only)
+                    )
+                    got = search._seed_value(n, length, search._MEASURES[objective], connected_only)
+                    assert got == want, (n, length, objective, connected_only)
 
 
 def _census(length, n_max):
