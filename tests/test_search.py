@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from stlab.cycles import is_ck_free
-from stlab.digraph import Digraph, build_digraph, in_rows, is_weakly_connected, permute
+from stlab.digraph import Digraph, _relabelled_rows, build_digraph, in_rows, is_weakly_connected, permute
 from stlab.families import (
     bk01_compositions,
     enumerate_bk01_members,
@@ -52,8 +52,33 @@ def _union(g, h):
     return Digraph(g.n + h.n, g.rows + tuple(row << g.n for row in h.rows))
 
 
+def _sources_on_unequal_cycles():
+    """Sources 8 -> C4 and 9 -> two digons, with every cycle vertex -> the sinks 10..13.
+
+    The sources share their (empty) in-rows and their colour, and the sinks
+    make them the first cell the search branches on, but no automorphism
+    swaps them: taking them for twins would search one of them only.
+    """
+    arcs = [(u, (u + 1) % 4) for u in range(4)] + [(4, 5), (5, 4), (6, 7), (7, 6)]
+    arcs += [(8, v) for v in range(4)] + [(9, v) for v in range(4, 8)]
+    return build_digraph(14, arcs + [(u, sink) for u in range(8) for sink in range(10, 14)])
+
+
 def _relabelled(g, rng):
     return permute(g, rng.sample(range(g.n), g.n))
+
+
+def _blowup(rng, n):
+    """A relabelled blow-up on n vertices: parts of 1-3 twins, each part complete or empty, random arcs across."""
+    owner = []
+    while len(owner) < n:
+        owner += [len(set(owner))] * rng.randint(1, min(3, n - len(owner)))
+    parts = owner[-1] + 1
+    inside = [rng.random() < 0.5 for _ in range(parts)]
+    across = [[rng.random() < 0.5 for _ in range(parts)] for _ in range(parts)]
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    kept = [(u, v) for u, v in arcs if (inside[owner[u]] if owner[u] == owner[v] else across[owner[u]][owner[v]])]
+    return _relabelled(build_digraph(n, kept), rng)
 
 
 def _relabel_by_arcs(g, perm):
@@ -351,7 +376,8 @@ def test_small_order_reports_pinned():
 def test_seed_value_needs_no_transitive_tournament():
     # Every fnk(n, L-1) member holds the arc u -> v for every u < v (at L = 2
     # it is the transitive tournament), so it dominates the tournament on
-    # every objective and the tournament raises no T_n.
+    # every objective and the tournament raises no T_n.  The bk01 chains
+    # raise none at L = 3 either; the reference seeds from both.
     for n in range(1, ISO_CAP + 1):
         for length in range(2, n + 2):
             seeds = [gen_transitive_tournament(n), *enumerate_fnk_members(n, length - 1)]
@@ -625,8 +651,9 @@ class TestCanonicalLabel:
             gen_complete_digraph(ISO_CAP),
             build_digraph(ISO_CAP, []),
             functools.reduce(_union, [_circulant(4, (1,))] * 4),
+            _sources_on_unequal_cycles(),
         ],
-        ids=["K10", "empty10", "C10", "circulant10-1-3", "bk4-4-2", "K16", "empty16", "4xC4"],
+        ids=["K10", "empty10", "C10", "circulant10-1-3", "bk4-4-2", "K16", "empty16", "4xC4", "sources-C4-2xC2"],
     )
     def test_symmetric_inputs_at_the_cap(self, g):
         rng = random.Random(g.e)
@@ -636,6 +663,21 @@ class TestCanonicalLabel:
         assert are_isomorphic(first, second)
         # At n = ISO_CAP the form's rows use every bit of their ROW_BYTES.
         assert canonical_label(form.to_digraph()) == form
+
+    @pytest.mark.parametrize(
+        "g",
+        [gen_complete_digraph(ISO_CAP), build_digraph(ISO_CAP, []), gen_fnk(ISO_CAP, 3, 2)],
+        ids=["K16", "empty16", "fnk16-3-2"],
+    )
+    def test_twins_take_one_leaf(self, g, monkeypatch):
+        # Each leaf transposes the in-rows once.  Wherever the search branches,
+        # every other candidate is a twin of the first, so one leaf suffices (16,
+        # 16 and 11 leaves when twin swaps were found only from equal leaves).
+        leaves = []
+        counting = lambda ins, order: leaves.append(order) or _relabelled_rows(ins, order)
+        monkeypatch.setattr(search, "_relabelled_rows", counting)
+        canonical_label(g)
+        assert len(leaves) == 1
 
     def test_complete_digraph_is_its_own_form(self):
         k10 = gen_complete_digraph(10)
@@ -723,6 +765,15 @@ class TestCanonicalBytesMatchReference:
             base = digraph_from_mask(3, mask)
             if is_weakly_connected(base) and len({(base.out_degree(v), base.in_degree(v)) for v in range(3)}) > 1:
                 inputs.append(_union(_union(base, base), base))
+        # Twin-rich inputs, where the search skips a candidate whose swap with an
+        # explored one is an automorphism: every fnk member and blow-ups of 1-3
+        # vertex parts, each also with one arc flipped.
+        for n in range(1, 8):
+            inputs += [g for k in range(1, n + 1) for g in enumerate_fnk_members(n, k)]
+        for _ in range(60):
+            g = _blowup(rng, rng.randint(2, 7))
+            u, v = rng.sample(range(g.n), 2)
+            inputs += [g, Digraph(g.n, tuple(row ^ (1 << v if w == u else 0) for w, row in enumerate(g.rows)))]
         for g in inputs:
             h = _relabelled(g, rng)
             assert canonical_label(h).data == _reference_canonical_bytes(h), g
