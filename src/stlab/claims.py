@@ -39,7 +39,7 @@ opt-in to the slower n >= 6 searches (search_extremal's allow_slow).
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from stlab.digraph import Digraph
 # gen_transitive_tournament, first_zagreb and laplacian_energy stay importable here: perfbench's tracer wraps them at this site.
@@ -52,7 +52,7 @@ from stlab.families import (
     gen_fnk,
     gen_transitive_tournament,
 )
-from stlab.formulas import ExactValue, ex_arcs_ck, ex_le_ck, ex_m1_c3
+from stlab.formulas import ex_arcs_ck, ex_le_ck, ex_m1_c3
 from stlab.invariants import first_zagreb, laplacian_energy
 from stlab.majorization import fnk_placement_energies, verify_fnk_ordering
 from stlab.search import ISO_CAP, CanonicalForm, canonical_label, search_extremal
@@ -66,35 +66,34 @@ WITNESS_SKIPPED = "skipped"
 Forms = tuple[CanonicalForm, ...]
 
 
-class ClaimRow(NamedTuple):
-    tag: str
-    n: int
-    k: int
-    formula: int
-    generator: int | None
-    oracle: int | None
-    witness: str
-    ok: bool
-    # Witness classes the claim expects but the oracle lacks, and vice versa.
-    missing: Forms = ()
-    extra: Forms = ()
+class ClaimRow(
+    namedtuple(
+        "ClaimRow", "tag n k formula generator oracle witness ok missing extra detail", defaults=((), (), "")
+    )
+):
+    """One (n, k) row of a claim check.
+
+    generator and oracle are None where the row has no such value.  missing
+    and extra, default (), hold the witness classes (CanonicalForms) the
+    claim expects but the oracle lacks, and vice versa.  detail, default "",
+    says why a row whose check raised failed.
+    """
+
+    __slots__ = ()
 
 
-class ClaimSpec(NamedTuple):
+class ClaimSpec(namedtuple("ClaimSpec", "k objective formula members values")):
     """One oracle-checked claim: max of ``objective`` with no directed (k+1)-cycle.
 
     ``k`` is the claim's fixed k, or None for the grid k = 3..k_max.
-    ``formula``, ``members`` and ``values`` take (n, k); ``members`` lists
-    the expected extremal witnesses, built only for the oracle, and
-    ``values`` the generator side, measured without building a digraph,
-    whose first value is the generator column.
+    ``formula``, ``members`` and ``values`` are functions of (n, k):
+    ``formula`` gives the closed form's ExactValue, ``members`` lists the
+    expected extremal witnesses, Digraphs built only for the oracle, and
+    ``values`` lists the generator side's ints, measured without building a
+    digraph, whose first value is the generator column.
     """
 
-    k: int | None
-    objective: str
-    formula: Callable[[int, int], ExactValue]
-    members: Callable[[int, int], list[Digraph]]
-    values: Callable[[int, int], list[int]]
+    __slots__ = ()
 
 
 def _fnk_extremal(n: int, k: int) -> list[Digraph]:
@@ -189,14 +188,16 @@ def _ordering_rows(n_max: int, k_hi: int) -> list[ClaimRow]:
             if n % k == 0:
                 continue
             formula = ex_le_ck(n, k).value
+            detail = ""
             try:
                 energies = verify_fnk_ordering(n, k)
                 generator = energies[-1][1]
                 ok = generator == formula
                 witness = "increasing" if ok else WITNESS_MISMATCH
-            except ArithmeticError:
+            except ArithmeticError as exc:
                 generator = None
                 witness = WITNESS_MISMATCH
                 ok = False
-            rows.append(ClaimRow("lemma3.1", n, k, formula, generator, None, witness, ok))
+                detail = str(exc)
+            rows.append(ClaimRow("lemma3.1", n, k, formula, generator, None, witness, ok, detail=detail))
     return rows

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from stlab.claims import TAGS, verify_theorem
 from stlab.cycles import find_cycle_of_length
@@ -69,10 +68,12 @@ def _load_input(text: str) -> Digraph:
         return build_family(parse_family_spec(text))
     if text == "-":
         return parse_arclist(sys.stdin.read())
-    path = Path(text)
-    if not path.exists():
-        raise ValueError(f"no such file: {text} (family specs look like 'fnk:n=4,k=3,s=2')")
-    return parse_arclist(path.read_text())
+    try:
+        with open(text) as handle:
+            arclist = handle.read()
+    except (FileNotFoundError, NotADirectoryError):
+        raise ValueError(f"no such file: {text} (family specs look like 'fnk:n=4,k=3,s=2')") from None
+    return parse_arclist(arclist)
 
 
 def _block_map(spec: FamilySpec) -> dict[int, int]:
@@ -149,7 +150,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     )
     text = dumps(report_json(report))
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as handle:
+            handle.write(text)
         print(
             f"max {report.objective} = {report.max_value} over {report.searched_count} digraphs, "
             f"{len(report.witness_forms)} witness class(es), {report.elapsed_ms} ms -> {args.out}"
@@ -176,6 +178,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"{oracle:>8} {row.witness:>10}  {status}"
         )
     for row in rows:
+        if row.detail:
+            print(f"{row.tag} n={row.n} k={row.k}: {row.detail}")
         for label, forms in (("missing", row.missing), ("extra", row.extra)):
             for form in forms:
                 print(f"{row.tag} n={row.n} k={row.k}: {label} witness class")

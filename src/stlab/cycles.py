@@ -23,15 +23,16 @@ C_len-free.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from stlab.digraph import Digraph, _iter_bits, _reach_layers, in_rows
 
 
-class CycleWitness(NamedTuple):
-    """Vertex sequence v0, ..., v_{len-1}; arc v_i -> v_{i+1} and v_last -> v0."""
+class CycleWitness(namedtuple("CycleWitness", "vertices")):
+    """Vertex sequence v0, ..., v_{len-1}, a tuple; arc v_i -> v_{i+1} and v_last -> v0."""
 
-    vertices: tuple[int, ...]
+    __slots__ = ()
 
     def arcs(self) -> list[tuple[int, int]]:
         seq = self.vertices
@@ -130,9 +131,13 @@ def path_ends(g: Digraph, arcs: int) -> list[int]:
     per visited set, so paths over the same vertices to the same end are
     followed once.  A new vertex sending arcs to O and receiving arcs from I
     closes a cycle of length arcs + 2 exactly when some u in O has an end in I.
+    A simple path of ``arcs`` arcs visits arcs + 1 distinct vertices, so at
+    arcs >= n none exists and no layer is grown.
     """
     if arcs < 0:
         raise ValueError(f"path length must be >= 0, got {arcs}")
+    if arcs >= g.n:
+        return [0] * g.n
     ends = []
     for start in range(g.n):
         layer = {1 << start: 1 << start}

@@ -3,9 +3,9 @@
 Vertices are dense integer labels 0..n-1.  Row ``u`` is a plain int whose
 bit ``v`` is set exactly when the arc (u, v) is present, so a whole
 out-neighbourhood fits in one machine word at the capacity limit.  A
-Digraph is a NamedTuple (n, rows): immutable and hashable, it sorts as that
-tuple, and rows given as a list are stored as a tuple.  Every structural
-operation returns a fresh value.
+Digraph is a collections.namedtuple subclass (n, rows): immutable and
+hashable, it sorts as that tuple, and rows given as a list are stored as a
+tuple.  Every structural operation returns a fresh value.
 
 The per-row work of the core runs in C-level bulk calls, not in Python
 loops over the rows.  A Digraph validates all rows at once: row u ANDed
@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import operator
 import struct
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 64
 
@@ -70,13 +71,11 @@ def _reach_layers(rows: Sequence[int], start: int, within: int) -> list[int]:
         layers.append(seen)
 
 
-class _DigraphFields(NamedTuple):
-    n: int
-    rows: tuple[int, ...]
+class Digraph(namedtuple("Digraph", "n rows")):
+    """Immutable digraph; instances compare and sort by (n, rows).
 
-
-class Digraph(_DigraphFields):
-    """Immutable digraph; instances compare and sort by (n, rows)."""
+    rows is a tuple of n ints, row u holding the out-neighbours of u as bits.
+    """
 
     __slots__ = ()
 
@@ -150,15 +149,21 @@ _ROW_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 @lru_cache(maxsize=None)
-def _swap_rounds(size: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) of each block-swap round of the packed transpose of a size x size bit matrix.
+def _transpose_layout(n: int) -> tuple[struct.Struct, tuple[tuple[int, int], ...]]:
+    """(codec, rounds) of the packed transpose of an n x n bit matrix.
 
-    size is a power of two, and rows sit max(8, size) bits apart.  Round j
-    of the log2(size) rounds exchanges bit j of the row and column indices:
-    its mask marks cells (u, v) with u & j == 0 and v & j != 0, whose
-    partners (u + j, v - j) sit j * (stride - 1) bits higher (Warren,
-    Hacker's Delight, section 7-3).  One entry per size, so at most 7.
+    The matrix is taken as size x size, size the next power of two >= n,
+    with rows at a stride of max(8, size) bits so that a row is a whole
+    field of codec: n little-endian unsigned stride-bit fields, so the
+    packed int holds row u at bits [u * stride, (u + 1) * stride) on any
+    host.  rounds holds the (shift, mask) of each of the log2(size)
+    block-swap rounds: round j exchanges bit j of the row and column
+    indices, its mask marks cells (u, v) with u & j == 0 and v & j != 0,
+    whose partners (u + j, v - j) sit j * (stride - 1) bits higher (Warren,
+    Hacker's Delight, section 7-3).  One entry per vertex count, built on
+    first use.
     """
+    size = 1 << (n - 1).bit_length()
     stride = max(8, size)
     rounds = []
     j = 1
@@ -167,23 +172,7 @@ def _swap_rounds(size: int) -> tuple[tuple[int, int], ...]:
         mask = sum(cols << (u * stride) for u in range(size) if not u & j)
         rounds.append((j * (stride - 1), mask))
         j <<= 1
-    return tuple(rounds)
-
-
-@lru_cache(maxsize=None)
-def _transpose_layout(n: int) -> tuple[struct.Struct, tuple[tuple[int, int], ...]]:
-    """(codec, rounds) of the packed transpose of an n x n bit matrix.
-
-    The matrix is taken as size x size, size the next power of two >= n,
-    with rows at a stride of max(8, size) bits so that a row is a whole
-    field of codec: n little-endian unsigned stride-bit fields, so the
-    packed int holds row u at bits [u * stride, (u + 1) * stride) on any
-    host.  The rounds are _swap_rounds(size), shared by every n of that
-    size.  One entry per vertex count, so at most MAX_VERTICES entries.
-    """
-    size = 1 << (n - 1).bit_length()
-    stride = max(8, size)
-    return struct.Struct(f"<{n}{_ROW_CODES[stride]}"), _swap_rounds(size)
+    return struct.Struct(f"<{n}{_ROW_CODES[stride]}"), tuple(rounds)
 
 
 def _packed_transpose(rows: Sequence[int]) -> tuple[int, int]:
@@ -192,7 +181,7 @@ def _packed_transpose(rows: Sequence[int]) -> tuple[int, int]:
     The rows are packed by one call of the layout's codec, and the
     transpose is log2(size) masked block swaps of the packed int, size the
     next power of two >= n (_transpose_layout).  Bits at columns >= n, and
-    rows >= n of A^T, are zero, so _unpack_rows reads A^T back as n rows.
+    rows >= n of A^T, are zero, so the codec reads A^T back as n rows.
     """
     codec, rounds = _transpose_layout(len(rows))
     packed = int.from_bytes(codec.pack(*rows), "little")
@@ -203,10 +192,10 @@ def _packed_transpose(rows: Sequence[int]) -> tuple[int, int]:
     return packed, transposed
 
 
-def _unpack_rows(packed: int, n: int) -> tuple[int, ...]:
-    """The n rows of a packed n x n bit matrix: the inverse of the packing in _packed_transpose."""
-    codec = _transpose_layout(n)[0]
-    return codec.unpack(packed.to_bytes(codec.size, "little"))
+def _transposed_rows(rows: Sequence[int]) -> tuple[int, ...]:
+    """The n rows of the transpose of the n x n bit matrix with these rows."""
+    codec = _transpose_layout(len(rows))[0]
+    return codec.unpack(_packed_transpose(rows)[1].to_bytes(codec.size, "little"))
 
 
 def _relabelled_rows(ins: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
@@ -218,22 +207,20 @@ def _relabelled_rows(ins: Sequence[int], order: Sequence[int]) -> tuple[int, ...
     one packed transpose gives that matrix, and its rows taken in the same
     order are the relabelled rows.
     """
-    _, transposed = _packed_transpose([ins[v] for v in order])
-    cols = _unpack_rows(transposed, len(order))
+    cols = _transposed_rows([ins[v] for v in order])
     return tuple([cols[v] for v in order])
 
 
 def in_rows(g: Digraph) -> tuple[int, ...]:
     """In-neighbour bitmask per vertex: bit u of entry v is set exactly when (u, v) is an arc."""
-    _, transposed = _packed_transpose(g.rows)
-    return _unpack_rows(transposed, g.n)
+    return _transposed_rows(g.rows)
 
 
 def digon_count(g: Digraph) -> int:
     """Number of unordered pairs {u, v} joined by arcs in both directions.
 
-    Half the popcount of A & A^T, with A^T the packed transpose that in_rows
-    unpacks (the diagonal is empty because loops are not allowed).
+    Half the popcount of A & A^T, with A^T the packed transpose whose rows
+    in_rows reads (the diagonal is empty because loops are not allowed).
     """
     packed, transposed = _packed_transpose(g.rows)
     return (packed & transposed).bit_count() // 2

@@ -29,27 +29,25 @@ to MAX_VERTICES.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Sequence
 from itertools import accumulate
-from typing import Callable, Iterator, NamedTuple, Sequence
 
 from stlab.digraph import MAX_VERTICES, Digraph
 
 FAMILY_KINDS = ("fnk", "bk", "tt", "kd")
 
 
-class FamilySpec(NamedTuple):
+class FamilySpec(namedtuple("FamilySpec", "kind n k r_position parts", defaults=(None, None, None))):
     """Declarative description of one family member.
 
     kind "fnk" uses n, k and r_position (1-based index of the residual
-    block, present exactly when n % k != 0); kind "bk" uses parts; kinds
-    "tt" and "kd" use n alone.
+    block, present exactly when n % k != 0); kind "bk" uses parts, a tuple
+    of block sizes; kinds "tt" and "kd" use n alone.  k, r_position and
+    parts default to None.
     """
 
-    kind: str
-    n: int
-    k: int | None = None
-    r_position: int | None = None
-    parts: tuple[int, ...] | None = None
+    __slots__ = ()
 
 
 def _complete_rows(size: int) -> tuple[int, ...]:

@@ -13,17 +13,12 @@ of the forbidden length fits, so nothing is excluded.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 
-class _ExactValueFields(NamedTuple):
-    numerator: int
-    denominator: int
-    source: str
-
-
-class ExactValue(_ExactValueFields):
-    """Integer value numerator / denominator, with the claim it comes from.
+class ExactValue(namedtuple("ExactValue", "numerator denominator source")):
+    """Integer value numerator / denominator, with the claim tag source it comes from.
 
     The division must be exact; value is its quotient.
     """

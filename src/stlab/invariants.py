@@ -10,7 +10,8 @@ squaring the integer Laplacian, so the identity test is non-circular.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from stlab.digraph import Digraph, digon_count, out_degree_sequence
 
@@ -52,14 +53,7 @@ def trace_L_squared(g: Digraph) -> int:
     return sum(square[i][i] for i in rng)
 
 
-class _InvariantBundleFields(NamedTuple):
-    m1: int
-    c2: int
-    e: int
-    degseq: tuple[int, ...]
-
-
-class InvariantBundle(_InvariantBundleFields):
+class InvariantBundle(namedtuple("InvariantBundle", "m1 c2 e degseq")):
     """All exact invariants of one digraph, bundled for reporting.
 
     degseq is the non-increasing outdegree sequence; le is derived as m1 + c2.

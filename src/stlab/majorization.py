@@ -15,9 +15,9 @@ sequences' prefix sums in O(n) per (n, k).
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from enum import Enum
 from itertools import accumulate, compress, count
-from typing import Sequence
 
 # gen_fnk and laplacian_energy stay importable here: perfbench's tracer wraps them at this site.
 from stlab.families import fnk_placement_ends, gen_fnk

@@ -99,7 +99,8 @@ from __future__ import annotations
 import itertools
 import struct
 import time
-from typing import Callable, Iterator, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Sequence
 
 from stlab.cycles import find_cycle_of_length, path_ends
 from stlab.digraph import _ROW_CODES, Digraph, _iter_bits, _relabelled_rows, in_rows, is_weakly_connected
@@ -237,25 +238,21 @@ def _next_level(level: Level, length: int, objective: str, threshold: int) -> Le
     return grown
 
 
-class ExtremalSearchReport(NamedTuple):
+class ExtremalSearchReport(
+    namedtuple("ExtremalSearchReport", "n forbidden_len objective scope max_value witness_forms elapsed_ms")
+):
     """Outcome of one exhaustive extremal search.
 
-    witness_forms holds the canonical forms of every isomorphism class
-    attaining the maximum, sorted, so reports are fully deterministic and no
-    caller needs to label a witness again; witnesses decodes them, in the
-    same order, into their canonical representatives.  searched_count is
-    2^(n(n-1)), the number of labelled digraphs the answer is exact over.
+    witness_forms is a tuple of the canonical forms of every isomorphism
+    class attaining the maximum, sorted, so reports are fully deterministic
+    and no caller needs to label a witness again; witnesses decodes them, in
+    the same order, into their canonical representatives.  searched_count
+    is 2^(n(n-1)), the number of labelled digraphs the answer is exact over.
     elapsed_ms is wall-clock bookkeeping only and is kept out of the
     canonical JSON rendering.
     """
 
-    n: int
-    forbidden_len: int
-    objective: str
-    scope: str
-    max_value: int
-    witness_forms: tuple[CanonicalForm, ...]
-    elapsed_ms: int
+    __slots__ = ()
 
     @property
     def witnesses(self) -> tuple[Digraph, ...]:
@@ -370,14 +367,14 @@ def _refine_colors(g: Digraph, ins: Sequence[int]) -> list[int]:
         keys = [(color << width | out) << width | into for color, out, into in zip(colors, outs, ins)]
 
 
-class CanonicalForm(NamedTuple):
+class CanonicalForm(namedtuple("CanonicalForm", "data")):
     """Isomorphism-invariant serialization: equal bytes iff isomorphic.
 
-    data is the vertex count n in one byte, then each row in ROW_BYTES
-    big-endian bytes; one struct call writes and reads the rows.
+    data is bytes: the vertex count n in one byte, then each row in
+    ROW_BYTES big-endian bytes; one struct call writes and reads the rows.
     """
 
-    data: bytes
+    __slots__ = ()
 
     def hex(self) -> str:
         return self.data.hex()

@@ -8,7 +8,7 @@ lexicographically, LF-terminated.  All JSON artifacts carry ``schema: 1``.
 from __future__ import annotations
 
 import json
-from typing import Mapping
+from collections.abc import Mapping
 
 from stlab.digraph import Digraph, build_digraph
 from stlab.invariants import InvariantBundle

@@ -248,7 +248,9 @@ def test_verify_failed_ordering_is_a_fail_row(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "lemma3.1", "--n-max", "7", "--k-max", "3")
     assert (code, err) == (1, "")
     lines = out.splitlines()
-    assert lines[-2].split() == ["lemma3.1", "7", "3", "147", "-", "-", "mismatch", "FAIL"]
+    assert lines[-3].split() == ["lemma3.1", "7", "3", "147", "-", "-", "mismatch", "FAIL"]
+    # The row says why it failed, under the table.
+    assert lines[-2] == "lemma3.1 n=7 k=3: placement 0 is not non-increasing: (6, 2, 2, 5, 5, 5, 6)"
     assert lines[-1] == "2/3 rows PASS"
 
 

@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-import stlab.digraph as digraph
 from stlab.digraph import (
     Digraph,
     build_digraph,
@@ -183,12 +182,3 @@ def test_in_rows_is_the_transpose_at_every_width(n):
         g = random_digraph(rng, n, p)
         assert in_rows(g) == naive_in_rows(g), (n, p)
         assert digon_count(g) == naive_digon_count(g), (n, p)
-
-
-def test_swap_rounds_are_built_once_per_size():
-    # The block-swap masks depend on the power-of-two size alone, so n = 33..64 share one tuple.
-    for n in range(1, 65):
-        digraph._transpose_layout(n)
-    assert digraph._transpose_layout(33)[1] is digraph._transpose_layout(64)[1]
-    assert digraph._transpose_layout(9)[1] is not digraph._transpose_layout(8)[1]
-    assert digraph._swap_rounds.cache_info().currsize <= 7

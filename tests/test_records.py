@@ -1,4 +1,7 @@
-"""The value types are NamedTuples: record semantics, and an import without dataclasses."""
+"""The value types are collections.namedtuple subclasses: record semantics, and a lean import.
+
+Importing stlab.cli loads none of dataclasses, inspect, typing or pathlib.
+"""
 
 import os
 import pickle
@@ -78,10 +81,10 @@ def test_bundle_repr_matches_the_readme_example():
     assert repr(measure(gen_fnk(5, 3, r_position=2))) == example.split("# ", 1)[1]
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # pytest has imported both already, so a fresh interpreter checks; -S keeps
-    # site-packages' .pth hooks out of its modules.
-    code = "import stlab.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def test_import_loads_no_dataclasses_inspect_typing_or_pathlib():
+    # pytest has imported all four already, so a fresh interpreter checks; -S
+    # keeps site-packages' .pth hooks out of its modules.
+    code = "import stlab.cli, sys; print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"

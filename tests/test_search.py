@@ -373,6 +373,13 @@ def test_small_order_reports_pinned():
     assert digest.hexdigest() == "9aba9679bee34d2024fabc320bcdb1060a25df5bbd68b7407bc46b7c500f437a"
 
 
+def test_forbidden_length_far_above_n_excludes_nothing():
+    # No simple path of L - 2 >= n arcs fits, so every extension is kept at no
+    # cost per arc: L = 10**9 answers as fast as and the same as L = n + 1.
+    far, near = search_extremal(5, 10**9, "LE"), search_extremal(5, 6, "LE")
+    assert (far.max_value, far.witness_forms) == (near.max_value, near.witness_forms)
+
+
 def test_seed_value_needs_no_transitive_tournament():
     # Every fnk(n, L-1) member holds the arc u -> v for every u < v (at L = 2
     # it is the transitive tournament), so it dominates the tournament on
