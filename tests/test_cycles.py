@@ -1,11 +1,12 @@
 import itertools
 import random
 import time
+from math import gcd
 
 import pytest
 
-from stlab.cycles import _strong_components, find_cycle_of_length, is_ck_free, path_ends
-from stlab.digraph import Digraph, _reach_layers, build_digraph, digon_count, in_rows, permute
+from stlab.cycles import _period_divides, _strong_components, find_cycle_of_length, is_ck_free, path_ends
+from stlab.digraph import Digraph, _iter_bits, _reach_layers, build_digraph, digon_count, in_rows, permute
 from stlab.families import gen_bk, gen_complete_digraph, gen_fnk, gen_transitive_tournament
 
 from conftest import enumerate_digraphs, naive_find_cycle, random_digraph
@@ -173,7 +174,7 @@ def test_strong_components_match_mutual_reachability():
         inputs.append(gen_bk([2] * (n // 2) + [1] * (n % 2)))
     for g in inputs:
         g = relabelled(g, rng)
-        assert _strong_components(g, in_rows(g)) == naive_strong_components(g), g
+        assert [layers[-1] for layers in _strong_components(g, in_rows(g))] == naive_strong_components(g), g
 
 
 def reversed_labels(g):
@@ -220,12 +221,12 @@ class CountingInRows:
 def test_strong_components_do_linear_work(chain):
     rng = random.Random(83)
     # With the blocks in reverse label order the search finishes the least
-    # vertex's component last, so only the final sort puts it first.
+    # vertex's component last, so only the ordering by least vertex puts it first.
     for g in (chain, reversed_labels(chain), relabelled(chain, rng)):
         rows = CountingRows(g.rows)
         into = CountingInRows(in_rows(g))
         comps = _strong_components(Digraph(g.n, rows), into)
-        assert comps == naive_strong_components(g)
+        assert [layers[-1] for layers in comps] == naive_strong_components(g)
         assert into.reads == [1] * g.n
         assert 0 < rows.reads <= 2 * g.n
 
@@ -265,9 +266,47 @@ def test_reach_layers_match_per_vertex_distances():
             assert layer == sum(1 << u for u, du in dist.items() if du <= d), (g, anchor, allowed, d)
 
 
+def induced(g, members):
+    index = {u: i for i, u in enumerate(members)}
+    return build_digraph(len(members), [(index[u], index[w]) for u in members for w in g.out_neighbors(u) if w in index])
+
+
+def test_period_cut_keeps_exactly_the_components_whose_period_divides_the_length():
+    rng = random.Random(97)
+    inputs = [g for n in range(1, 5) for g in enumerate_digraphs(n)]
+    for n in range(5, 10):
+        for p in (1, 2, 3):
+            # Arcs only from class i to class i + 1 mod p, so each cycle length is a multiple of p.
+            classes = [rng.randrange(p) for _ in range(n)]
+            for _ in range(4):
+                g = random_digraph(rng, n, rng.choice((0.25, 0.4, 0.6)))
+                inputs.append(build_digraph(n, [(u, w) for u, w in g.arcs() if classes[w] == (classes[u] + 1) % p]))
+    for g in inputs:
+        into = in_rows(g)
+        for layers in _strong_components(g, into):
+            sub = induced(g, list(_iter_bits(layers[-1])))
+            period = 0  # gcd of the component's cycle lengths; 0 when it has none
+            for length in range(2, sub.n + 1):
+                if naive_find_cycle(sub, length) is not None:
+                    period = gcd(period, length)
+            for length in range(2, g.n + 1):
+                kept = period != 0 and length % period == 0
+                assert _period_divides(into, layers, length) == kept, (g, layers, length)
+
+
+def test_odd_lengths_on_bipartite_blocks_skip_the_search():
+    # Every gen_bk block has period 2, so the DFS never starts at an odd length.
+    # Searching every odd path in the blocks took about 3.4 s and more than 310 s.
+    for parts, length in (([16] * 4, 9), ([20, 20, 20], 11)):
+        g = gen_bk(parts)
+        start = time.perf_counter()
+        assert find_cycle_of_length(g, length) is None
+        assert time.perf_counter() - start < 0.5, (parts, length)
+
+
 def test_free_components_larger_than_the_length():
     # Every strong component holds 8 vertices, so the size check skips none
-    # below L = 9 and the search runs to the end on each odd length.
+    # below L = 9; the period check skips all of them at each odd length.
     g = gen_bk([8] * 8)
     for length in range(2, 10):
         witness = find_cycle_of_length(g, length)
@@ -275,6 +314,12 @@ def test_free_components_larger_than_the_length():
             assert witness is None, length
         else:
             assert_valid_witness(g, witness, length)
+    # Both arc directions between 5 and 2 vertices: 7 vertices pass the size
+    # check and period 2 divides 6, but the longest cycle has 4 arcs, so only
+    # the search, run to the end, finds no C6.
+    g = build_digraph(7, [arc for u in range(5) for w in (5, 6) for arc in ((u, w), (w, u))])
+    assert find_cycle_of_length(g, 6) is None
+    assert_valid_witness(g, find_cycle_of_length(g, 4), 4)
 
 
 def test_detector_agrees_with_networkx():
