@@ -54,6 +54,15 @@ the top level; every seed is connected.
 The cost grows with the number of classes above the thresholds, not with
 the 2^(n(n-1)) labelled digraphs the answer is exact over.
 
+One descent to n answers every lower order too (search_every_order).  An
+order-n maximiser G has value >= T_n, so by the averaging bound it has a
+deletion chain whose order-m member, C_L-free since G is, keeps >= T_m:
+the order-m maximum is at least T_m.  Level m holds every class of value
+>= T_m, so its members attaining their maximum are exactly the order-m
+maximisers, the classes search_extremal(m, ...) reports.  This holds in
+scope "all" only: a connected maximiser's deletions need not be
+connected, so T_m can exceed the best connected value on m vertices.
+
 The canonical label is the minimum row serialization over all vertex
 relabellings compatible with iterated (outdegree, indegree) colour
 refinement: each colour class takes a block of consecutive positions, in
@@ -263,22 +272,8 @@ class ExtremalSearchReport(
         return 1 << (self.n * (self.n - 1))
 
 
-def search_extremal(
-    n: int,
-    forbidden_len: int,
-    objective: str,
-    scope: str = "all",
-    jobs: int = 1,
-    allow_slow: bool = False,
-) -> ExtremalSearchReport:
-    """Exact maximum of the objective over all forbidden-cycle-free digraphs.
-
-    objective is one of LE, M1, ARCS (case-insensitive); scope "all" or
-    "connected_only".  forbidden_len may exceed n, in which case nothing is
-    excluded.  n is capped at ISO_CAP, and n >= 6 must be enabled with
-    allow_slow.  jobs stays for the callers that pass it: it must be >= 1
-    and has no other effect, since the descent runs in one process.
-    """
+def _validated(n: int, forbidden_len: int, objective: str, scope: str, allow_slow: bool) -> str:
+    """The upper-cased objective, once the search arguments are checked."""
     obj = str(objective).upper()
     if obj not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
@@ -294,22 +289,24 @@ def search_extremal(
             "grows steeply with n (n=8, L=2, ARCS builds all 6,880 tournament classes); "
             "enable it explicitly with allow_slow (--allow-slow)"
         )
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return obj
 
-    start = time.perf_counter()
-    measure = _MEASURES[obj]
-    connected_only = scope == "connected_only"
-    thresholds = {n: _seed_value(n, forbidden_len, measure, connected_only)}
+
+def _descent(n: int, forbidden_len: int, obj: str, connected_only: bool) -> Iterator[Level]:
+    """Levels 1..n of the threshold descent from T_n, the seed value in the scope."""
+    thresholds = {n: _seed_value(n, forbidden_len, _MEASURES[obj], connected_only)}
     for m in range(n, 1, -1):
         thresholds[m - 1] = _threshold_below(obj, m, thresholds[m])
-
     level: Level = [(None, Digraph(1, (0,)))]
+    yield level
     for m in range(2, n + 1):
         level = _next_level(level, forbidden_len, obj, thresholds[m])
+        yield level
 
-    if connected_only:
-        level = [(data, g) for data, g in level if is_weakly_connected(g)]
+
+def _report(n: int, level: Level, forbidden_len: int, obj: str, scope: str, start: float) -> ExtremalSearchReport:
+    """The maximum over level n and the sorted canonical forms of the members attaining it."""
+    measure = _MEASURES[obj]
     values = [measure(g) for _, g in level]
     best = max(values)
     # Only the members attaining the maximum need a label, to sort and emit them.
@@ -328,6 +325,51 @@ def search_extremal(
         witness_forms=tuple(forms),
         elapsed_ms=elapsed_ms,
     )
+
+
+def search_extremal(
+    n: int,
+    forbidden_len: int,
+    objective: str,
+    scope: str = "all",
+    jobs: int = 1,
+    allow_slow: bool = False,
+) -> ExtremalSearchReport:
+    """Exact maximum of the objective over all forbidden-cycle-free digraphs.
+
+    objective is one of LE, M1, ARCS (case-insensitive); scope "all" or
+    "connected_only".  forbidden_len may exceed n, in which case nothing is
+    excluded.  n is capped at ISO_CAP, and n >= 6 must be enabled with
+    allow_slow.  jobs stays for the callers that pass it: it must be >= 1
+    and has no other effect, since the descent runs in one process.
+    """
+    obj = _validated(n, forbidden_len, objective, scope, allow_slow)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+    start = time.perf_counter()
+    connected_only = scope == "connected_only"
+    for level in _descent(n, forbidden_len, obj, connected_only):
+        pass  # only the top level is measured and labelled
+    if connected_only:
+        level = [(data, g) for data, g in level if is_weakly_connected(g)]
+    return _report(n, level, forbidden_len, obj, scope, start)
+
+
+def search_every_order(
+    n: int, forbidden_len: int, objective: str, allow_slow: bool = False
+) -> list[ExtremalSearchReport]:
+    """search_extremal(m, forbidden_len, objective) in scope "all" for m = 1..n, read off one descent.
+
+    Level m of the descent to n holds every order-m maximiser (module
+    docstring), so each report equals the order-m search's apart from
+    elapsed_ms, here the time from the start to that report.  The
+    arguments are checked as search_extremal checks them.
+    """
+    obj = _validated(n, forbidden_len, objective, "all", allow_slow)
+    start = time.perf_counter()
+    levels = enumerate(_descent(n, forbidden_len, obj, False), start=1)
+    return [_report(m, level, forbidden_len, obj, "all", start) for m, level in levels]
 
 
 # ---------------------------------------------------------------------------

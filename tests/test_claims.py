@@ -183,6 +183,28 @@ def test_found_witnesses_are_not_relabelled(monkeypatch):
     assert claims._witness_diff(report.witness_forms, []) == ((), report.witness_forms)
 
 
+@pytest.mark.parametrize(
+    "argv, descents",
+    [
+        (("--n-max", "7", "--oracle-cap", "4"), [(4, 4), (4, 5), (4, 6)]),
+        (("--n-max", "3"), [(3, 4), (3, 5), (3, 6)]),
+        (("--n-max", "7", "--oracle-cap", "0"), []),
+    ],
+)
+def test_oracle_runs_one_descent_per_column(monkeypatch, argv, descents):
+    # Each k column reads its oracle rows off one descent to min(oracle_cap, n_max).
+    calls = []
+    every_order = claims.search_every_order
+
+    def recorded(n, length, *args, **kwargs):
+        calls.append((n, length))
+        return every_order(n, length, *args, **kwargs)
+
+    monkeypatch.setattr(claims, "search_every_order", recorded)
+    assert main(["verify", "thm1.3", "--k-max", "5", *argv]) == 0
+    assert calls == descents
+
+
 @pytest.mark.parametrize("tag", ["thm1.3", "thm1.4", "thm1.5", "thm1.6", "lemma2.1"])
 def test_oracle_runs_every_row_to_n8(tag):
     rows = verify_theorem(tag, 8, k_max=5, oracle_cap=8)

@@ -8,7 +8,7 @@ from stlab import cli, families, majorization
 from stlab.claims import TAGS
 from stlab.cli import main
 from stlab.digraph import build_digraph
-from stlab.search import canonical_label, search_extremal
+from stlab.search import canonical_label, search_every_order
 from stlab.serialize import parse_arclist
 
 
@@ -217,13 +217,12 @@ def test_verify_pass_and_fail_codes(capsys):
 def test_verify_mismatch_lists_witness_classes(capsys, monkeypatch):
     # The oracle reports the empty digraph instead of the transitive tournament at n = 3.
     def wrong_witnesses(n, *args, **kwargs):
-        report = search_extremal(n, *args, **kwargs)
-        if n != 3:
-            return report
+        reports = search_every_order(n, *args, **kwargs)
         empty = build_digraph(3, [])
-        return report._replace(witness_forms=(canonical_label(empty),))
+        reports[2] = reports[2]._replace(witness_forms=(canonical_label(empty),))
+        return reports
 
-    monkeypatch.setattr("stlab.claims.search_extremal", wrong_witnesses)
+    monkeypatch.setattr("stlab.claims.search_every_order", wrong_witnesses)
     code, out, _ = run(capsys, "verify", "thm1.5", "--n-max", "3")
     assert code == 1
     table, details = out.split("thm1.5 n=3 k=1: missing witness class\n")
@@ -271,18 +270,18 @@ def test_verify_empty_grid_is_usage_error(capsys, argv):
 
 def test_verify_n_max_beyond_vertex_cap_runs(capsys, monkeypatch):
     # --n-max has no upper bound: past MAX_VERTICES the rows are measured, and
-    # the oracle still runs only up to --oracle-cap.
+    # the oracle still runs only up to --oracle-cap, in one descent.
     searched = []
 
     def recorded_search(n, *args, **kwargs):
         searched.append(n)
-        return search_extremal(n, *args, **kwargs)
+        return search_every_order(n, *args, **kwargs)
 
-    monkeypatch.setattr("stlab.claims.search_extremal", recorded_search)
+    monkeypatch.setattr("stlab.claims.search_every_order", recorded_search)
     code, out, err = run(capsys, "verify", "thm1.5", "--n-max", "65", "--oracle-cap", "3")
     assert (code, err) == (0, "")
     assert "65/65 rows PASS" in out
-    assert searched == [1, 2, 3]
+    assert searched == [3]
 
 
 SEARCH_ARGV = ["search", "--n", "4", "--forbid-cycle", "3", "--objective", "le"]

@@ -33,6 +33,7 @@ from stlab.search import (
     _threshold_below,
     are_isomorphic,
     canonical_label,
+    search_every_order,
     search_extremal,
 )
 from stlab.serialize import dumps, report_json
@@ -371,6 +372,29 @@ def test_small_order_reports_pinned():
                     report = search_extremal(n, length, objective, scope=scope, allow_slow=True)
                     digest.update(dumps(report_json(report)).encode())
     assert digest.hexdigest() == "9aba9679bee34d2024fabc320bcdb1060a25df5bbd68b7407bc46b7c500f437a"
+
+
+def test_every_order_reports_match_per_order_searches():
+    # Level m of the descent to n holds every order-m maximiser: for n = 1..7,
+    # L = 2..n+1 and each objective, each of the n reports is the order-m
+    # search's, byte for byte (420 reports).
+    for n in range(1, 8):
+        for length in range(2, n + 2):
+            for objective in OBJECTIVES:
+                reports = search_every_order(n, length, objective, allow_slow=True)
+                assert [report.n for report in reports] == list(range(1, n + 1))
+                for m, report in enumerate(reports, start=1):
+                    want = search_extremal(m, length, objective, allow_slow=True)
+                    assert dumps(report_json(report)) == dumps(report_json(want)), (n, m, length, objective)
+
+
+def test_every_order_checks_its_arguments():
+    with pytest.raises(ValueError, match="allow_slow"):
+        search_every_order(6, 3, "LE")
+    with pytest.raises(ValueError, match="objective"):
+        search_every_order(3, 3, "density")
+    with pytest.raises(ValueError, match="n must be in"):
+        search_every_order(ISO_CAP + 1, 3, "LE", allow_slow=True)
 
 
 def test_forbidden_length_far_above_n_excludes_nothing():
