@@ -50,7 +50,6 @@ from stlab.search import (
     ExtremalSearchReport,
     are_isomorphic,
     canonical_label,
-    search_every_order,
     search_extremal,
 )
 

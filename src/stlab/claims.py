@@ -25,8 +25,9 @@ each is O(n) per row: thm1.3 measures every placement of the chain family
 from the prefix sums of two outdegree sequences
 (families.fnk_placement_arcs), lemma2.1 sums the squared outdegrees of the
 residual-last chain (fnk_placement_ends' head), thm1.4 and thm1.5 add its
-c2 = qk(k-1) + r(r-1) closed 2-walks to that sum, and thm1.6 measures its
-chains by bk01_energy_range.  The witnesses are built for the oracle
+c2 = qk(k-1) + r(r-1) closed 2-walks to that sum
+(majorization.fnk_residual_last_energy), and thm1.6 measures its chains
+by bk01_energy_range.  The witnesses are built for the oracle
 alone.  Rows beyond the cap keep their oracle columns marked "skipped" and
 still pass on the formula/generator comparison.  lemma3.1 has no oracle;
 its rows run the ordering check, which builds no digraph either, and a
@@ -46,7 +47,6 @@ opt-in to the slower n >= 6 searches (the search's allow_slow).
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 
 from stlab.digraph import Digraph
@@ -62,7 +62,7 @@ from stlab.families import (
 )
 from stlab.formulas import ex_arcs_ck, ex_le_ck, ex_m1_c3
 from stlab.invariants import first_zagreb, laplacian_energy
-from stlab.majorization import verify_fnk_ordering
+from stlab.majorization import fnk_residual_last_energy, verify_fnk_ordering
 # search_extremal stays importable here: perfbench's tracer wraps it at this site.
 from stlab.search import ISO_CAP, CanonicalForm, canonical_label, search_every_order, search_extremal
 
@@ -111,16 +111,14 @@ def _fnk_extremal(n: int, k: int) -> list[Digraph]:
     return [gen_fnk(n, k, q + 1 if r else None)]
 
 
+def _fnk_extremal_le(n: int, k: int) -> list[int]:
+    """Laplacian energy of the residual-last chain, the last placement."""
+    return [fnk_residual_last_energy(n, k)]
+
+
 def _fnk_extremal_m1(n: int, k: int) -> list[int]:
     """First Zagreb index of the residual-last chain, whose outdegrees are fnk_placement_ends' head."""
-    head = fnk_placement_ends(n, k)[0]
-    return [sum(map(operator.mul, head, head))]
-
-
-def _fnk_extremal_le(n: int, k: int) -> list[int]:
-    """Laplacian energy M1 + c2 of the residual-last chain: c2 = qk(k-1) + r(r-1), s(s-1) per complete block."""
-    q, r = divmod(n, k)
-    return [_fnk_extremal_m1(n, k)[0] + q * k * (k - 1) + r * (r - 1)]
+    return [sum(d * d for d in fnk_placement_ends(n, k)[0])]
 
 
 def _claim_specs() -> dict[str, ClaimSpec]:
@@ -179,7 +177,7 @@ def _grid_rows(tag: str, n_max: int, k_hi: int, oracle_cap: int) -> list[ClaimRo
     top = min(oracle_cap, n_max)
     for k in range(3, k_hi + 1) if spec.k is None else (spec.k,):
         # One descent per column: its level n holds every order-n maximiser.
-        reports = search_every_order(top, k + 1, spec.objective, allow_slow=True) if top else []
+        reports = search_every_order(top, k + 1, spec.objective) if top else []
         for n in range(1, n_max + 1):
             formula = spec.formula(n, k).value
             values = spec.values(n, k)

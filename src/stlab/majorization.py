@@ -15,7 +15,7 @@ sequences' prefix sums in O(n) per (n, k).
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from itertools import accumulate, compress, count
 
@@ -63,7 +63,7 @@ def karamata_square_check(x: Sequence[int], y: Sequence[int]) -> KaramataVerdict
     return KaramataVerdict.HOLDS_STRICT
 
 
-def _energies(n: int, k: int, head: list[int], tail: list[int], cuts: range) -> list[int]:
+def _energies(n: int, k: int, head: list[int], tail: list[int], cuts: Iterable[int]) -> list[int]:
     """Laplacian energy of each placement head[:c] + tail[c:], c in cuts.
 
     The energy is M1 + c2: M1 sums the squared outdegrees, read off the
@@ -80,6 +80,12 @@ def _energies(n: int, k: int, head: list[int], tail: list[int], cuts: range) -> 
 def fnk_placement_energies(n: int, k: int) -> list[int]:
     """Laplacian energy of each member of enumerate_fnk_members(n, k), none built."""
     return _energies(n, k, *fnk_placement_ends(n, k))
+
+
+def fnk_residual_last_energy(n: int, k: int) -> int:
+    """Laplacian energy of the residual-last member alone: its cut is always n."""
+    head, tail, _ = fnk_placement_ends(n, k)
+    return _energies(n, k, head, tail, (n,))[0]
 
 
 def verify_fnk_ordering(n: int, k: int) -> list[tuple[int, int]]:

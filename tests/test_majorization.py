@@ -16,6 +16,7 @@ from stlab.invariants import laplacian_energy
 from stlab.majorization import (
     KaramataVerdict,
     fnk_placement_energies,
+    fnk_residual_last_energy,
     karamata_square_check,
     majorizes,
     verify_fnk_ordering,
@@ -182,6 +183,7 @@ def test_placement_measures_match_built_members():
             energies = [laplacian_energy(g) for g in built]
             seqs = [out_degree_sequence(g) for g in built]
             assert fnk_placement_energies(n, k) == energies, (n, k)
+            assert fnk_residual_last_energy(n, k) == energies[-1], (n, k)
             assert fnk_placement_arcs(n, k) == [g.e for g in built], (n, k)
             head, tail, cuts = fnk_placement_ends(n, k)
             assert [tuple(head[:c] + tail[c:]) for c in cuts] == seqs == fnk_placement_degrees(n, k), (n, k)
@@ -210,6 +212,7 @@ def test_placement_measures_match_block_reference_past_max_vertices(n):
             energies.append(sum(d * d for d in seq) + sum(b * (b - 1) for b in sizes))
         assert fnk_placement_arcs(n, k) == arcs, (n, k)
         assert fnk_placement_energies(n, k) == energies, (n, k)
+        assert fnk_residual_last_energy(n, k) == energies[-1], (n, k)
         if r and q:
             assert verify_fnk_ordering(n, k) == list(enumerate(energies)), (n, k)
 

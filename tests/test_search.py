@@ -381,7 +381,7 @@ def test_every_order_reports_match_per_order_searches():
     for n in range(1, 8):
         for length in range(2, n + 2):
             for objective in OBJECTIVES:
-                reports = search_every_order(n, length, objective, allow_slow=True)
+                reports = search_every_order(n, length, objective)
                 assert [report.n for report in reports] == list(range(1, n + 1))
                 for m, report in enumerate(reports, start=1):
                     want = search_extremal(m, length, objective, allow_slow=True)
@@ -389,12 +389,10 @@ def test_every_order_reports_match_per_order_searches():
 
 
 def test_every_order_checks_its_arguments():
-    with pytest.raises(ValueError, match="allow_slow"):
-        search_every_order(6, 3, "LE")
     with pytest.raises(ValueError, match="objective"):
         search_every_order(3, 3, "density")
     with pytest.raises(ValueError, match="n must be in"):
-        search_every_order(ISO_CAP + 1, 3, "LE", allow_slow=True)
+        search_every_order(ISO_CAP + 1, 3, "LE")
 
 
 def test_forbidden_length_far_above_n_excludes_nothing():
