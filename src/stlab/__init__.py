@@ -44,7 +44,7 @@ from stlab.invariants import (
     measure,
     trace_L_squared,
 )
-from stlab.majorization import KaramataVerdict, karamata_square_check, majorizes, verify_fnk_ordering
+from stlab.majorization import verify_fnk_ordering
 from stlab.search import (
     CanonicalForm,
     ExtremalSearchReport,

@@ -21,11 +21,12 @@ checks them all: for each (n, k) it compares the closed form with every
 generator value and, within the oracle cap, with the exhaustive search
 maximum over digraphs with no directed (k+1)-cycle, with witness sets
 matched up to isomorphism.  No generator column builds a digraph, and
-each is O(n) per row: thm1.3 measures every placement of the chain family
-from the prefix sums of two outdegree sequences
-(families.fnk_placement_arcs), lemma2.1 sums the squared outdegrees of the
-residual-last chain (fnk_placement_ends' head), thm1.4 and thm1.5 add its
-c2 = qk(k-1) + r(r-1) closed 2-walks to that sum
+the fnk columns are O(q) per row, q = n // k: every vertex of a complete
+block has the block's outdegree (families.fnk_placement_blocks), and a
+block of b vertices with outdegree d adds b*d arcs and b*d^2 to M1
+(families.fnk_block_sums).  thm1.3 measures every placement of the chain
+family this way (families.fnk_placement_arcs), lemma2.1 the residual-last
+chain's M1, thm1.4 and thm1.5 add its c2 = qk(k-1) + r(r-1) closed 2-walks
 (majorization.fnk_residual_last_energy), and thm1.6 measures its chains
 by bk01_energy_range.  The witnesses are built for the oracle
 alone.  Rows beyond the cap keep their oracle columns marked "skipped" and
@@ -55,8 +56,9 @@ from stlab.families import (
     bk01_energy_range,
     enumerate_bk01_members,
     enumerate_fnk_members,
+    fnk_block_sums,
     fnk_placement_arcs,
-    fnk_placement_ends,
+    fnk_placement_blocks,
     gen_fnk,
     gen_transitive_tournament,
 )
@@ -117,8 +119,8 @@ def _fnk_extremal_le(n: int, k: int) -> list[int]:
 
 
 def _fnk_extremal_m1(n: int, k: int) -> list[int]:
-    """First Zagreb index of the residual-last chain, whose outdegrees are fnk_placement_ends' head."""
-    return [sum(d * d for d in fnk_placement_ends(n, k)[0])]
+    """First Zagreb index of the residual-last chain, the last placement's sum of squared outdegrees."""
+    return [fnk_block_sums(n, k, fnk_placement_blocks(n, k), 2)[-1]]
 
 
 def _claim_specs() -> dict[str, ClaimSpec]:

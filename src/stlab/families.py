@@ -16,22 +16,24 @@ each block carries its own internal pattern.
 Block order matters: distinct orderings are distinct (generally
 non-isomorphic) members, so enumerators walk compositions, not partitions.
 
-The fnk placements are measured from prefix sums, none built: a vertex
-of a complete block starting at label s has outdegree n - 1 - s, and
-every placement's outdegree sequence splices the residual-last sequence
-onto the residual-first one at one cut (``fnk_placement_ends``).  So a
-sum over any placement is two prefix-sum lookups, and
+The fnk placements are measured block by block, none built: a vertex of a
+complete block starting at label s has outdegree n - 1 - s, so each block's
+outdegree is one number, and every placement is a prefix of the
+residual-last chain's k-blocks, the residual block and a suffix of the
+residual-first chain's k-blocks (``fnk_placement_blocks``).  A block of b
+vertices with outdegree d adds b*d arcs and b*d^2 to M1, so a sum over any
+placement is two prefix-sum lookups over q = n // k blocks, and
 ``fnk_placement_arcs``, ``majorization.fnk_placement_energies``,
-``majorization.verify_fnk_ordering`` and the claims' generator columns
-do O(n) work per (n, k), at any order: only what builds a Digraph is held
-to MAX_VERTICES.
+``majorization.verify_fnk_ordering`` and the claims' generator columns do
+O(q) work per (n, k), at any order: only what builds a Digraph is held to
+MAX_VERTICES.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from stlab.digraph import MAX_VERTICES, Digraph
 
@@ -124,31 +126,45 @@ def enumerate_fnk_members(n: int, k: int) -> list[Digraph]:
     return [gen_fnk(n, k, p) for p in range(1, q + 2)]
 
 
-def fnk_placement_ends(n: int, k: int) -> tuple[list[int], list[int], range]:
-    """(head, tail, cuts): the members of enumerate_fnk_members(n, k) as spliced outdegree sequences.
+def fnk_placement_blocks(n: int, k: int) -> tuple[range, range, range]:
+    """(head, resid, tail): the block outdegrees of the members of enumerate_fnk_members(n, k).
 
-    Placement p (from 0) has blocks [k]*p + [r] + [k]*(q-p), or [k]*q when
-    r = 0.  A vertex of the block starting at label s has outdegree
-    n - 1 - s, so placement p's sequence is head[:c] + tail[c:] at its cut
-    c = cuts[p] = pk + r: it agrees with the residual-last member (head) on
-    its first c vertices and with the residual-first member (tail) on the
-    rest.  When r = 0 the one member is head, cut at n.
+    Placement p (from 0) has blocks [k]*p + [r] + [k]*(q-p), and a vertex of
+    the block starting at label s has outdegree n - 1 - s.  So its k-blocks
+    before the residual block have outdegrees head[:p] (n - 1 - ik), its
+    residual block resid[p] (n - 1 - pk) and its k-blocks after it tail[p:]
+    (n - 1 - r - ik).  When r = 0 the one member is placement q: head's q
+    blocks and an empty residual block.
     """
     if k < 1 or n < 1:
         raise ValueError("n and k must be >= 1")
     r = n % k
-    # Residual last: vertex v is in the block starting at v // k * k.
-    head = [n - 1 - v // k * k for v in range(n)]
-    # Residual first: its r vertices start at 0, then head's blocks shifted by r.
-    tail = head[:r] + [d - r for d in head[: n - r]]
-    return head, tail, range(r, n + 1, k) if r else range(n, n + 1)
+    return range(n - 1, r - 1, -k), range(n - 1, r - 2, -k), range(n - 1 - r, -1, -k)
+
+
+def fnk_block_sums(n: int, k: int, blocks: tuple[range, range, range], power: int) -> list[int]:
+    """sum(d ** power) over the outdegrees d of each placement whose blocks are fnk_placement_blocks(n, k).
+
+    A block of b vertices with outdegree d adds b * d ** power, so placement
+    p's sum is k times head's prefix sum to p and tail's suffix sum from p,
+    plus r * resid[p] ** power: O(q) for every placement together, and one
+    sum when r = 0 leaves one member.  It takes the blocks rather than
+    building them so that majorization.verify_fnk_ordering measures the
+    very blocks it checks.
+    """
+    head, resid, tail = blocks
+    r = n % k
+    heads = [0, *accumulate(map(pow, head, repeat(power)))]
+    if not r:
+        return [k * heads[-1]]
+    tails = [0, *accumulate(map(pow, tail, repeat(power)))]
+    total = tails[-1]
+    return [k * (h + total - t) + r * d**power for h, t, d in zip(heads, tails, resid)]
 
 
 def fnk_placement_arcs(n: int, k: int) -> list[int]:
     """Arc count of each member of enumerate_fnk_members(n, k), none built."""
-    head, tail, cuts = fnk_placement_ends(n, k)
-    heads, tails = [0, *accumulate(head)], [0, *accumulate(tail)]
-    return [heads[c] + tails[n] - tails[c] for c in cuts]
+    return fnk_block_sums(n, k, fnk_placement_blocks(n, k), 1)
 
 
 def gen_bk(parts: Sequence[int]) -> Digraph:

@@ -1,91 +1,52 @@
-"""Majorization and the squared-sum comparison it licenses.
+"""Laplacian energy of the fnk placements and the majorization order between them.
 
-Sequences are plain non-increasing integer sequences, such as the tuples
-that digraph.out_degree_sequence returns.  Only f(t) = t^2 is built in: it
-is the one strictly convex function the energy comparisons need, and
-keeping it fixed makes the contract exactly testable.
-
-The fnk placements are measured from prefix sums, none built or
-materialised: each placement splices the residual-last outdegree sequence
-onto the residual-first one at a cut (families.fnk_placement_ends), so its
-energy, its prefix sums and its monotonicity follow from the two end
-sequences' prefix sums in O(n) per (n, k).
+The fnk placements are measured block by block, none built or
+materialised: each placement is a prefix of the residual-last chain's
+k-blocks, the residual block and a suffix of the residual-first chain's
+k-blocks (families.fnk_placement_blocks), and every vertex of a block has
+the block's outdegree.  So a placement's energy is two prefix-sum lookups
+over the q = n // k blocks, and its monotonicity and the majorization
+between consecutive placements are read at block boundaries, in O(q) per
+(n, k).
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Sequence
-from enum import Enum
-from itertools import accumulate, compress, count
 
 # gen_fnk and laplacian_energy stay importable here: perfbench's tracer wraps them at this site.
-from stlab.families import fnk_placement_ends, gen_fnk
+from stlab.families import fnk_block_sums, fnk_placement_blocks, gen_fnk
 from stlab.invariants import laplacian_energy
 
 
-class KaramataVerdict(Enum):
-    HOLDS_STRICT = "holds_strict"
-    HOLDS_EQUAL = "holds_equal"
-    NOT_APPLICABLE = "not_applicable"
+def _energies(n: int, k: int, blocks: tuple[range, range, range]) -> list[int]:
+    """Laplacian energy of each placement with these blocks.
 
-
-def _check_pair(x: Sequence[int], y: Sequence[int]) -> None:
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    for seq, name in ((x, "x"), (y, "y")):
-        if any(map(operator.lt, seq, seq[1:])):
-            raise ValueError(f"{name} is not non-increasing: {tuple(seq)}")
-
-
-def majorizes(x: Sequence[int], y: Sequence[int]) -> bool:
-    """True iff every prefix sum of x dominates y's and the totals agree."""
-    _check_pair(x, y)
-    return all(map(operator.ge, accumulate(x), accumulate(y))) and sum(x) == sum(y)
-
-
-def karamata_square_check(x: Sequence[int], y: Sequence[int]) -> KaramataVerdict:
-    """Verdict of the squared-sum inequality under majorization.
-
-    NOT_APPLICABLE when x does not majorize y; HOLDS_EQUAL when x == y;
-    otherwise HOLDS_STRICT, with sum(x^2) > sum(y^2) verified numerically.
-    """
-    if not majorizes(x, y):
-        return KaramataVerdict.NOT_APPLICABLE
-    if tuple(x) == tuple(y):
-        return KaramataVerdict.HOLDS_EQUAL
-    sq_x = sum(a * a for a in x)
-    sq_y = sum(b * b for b in y)
-    if sq_x <= sq_y:
-        raise ArithmeticError(
-            f"strict convexity violated: {sq_x} <= {sq_y} for majorizing {tuple(x)} over {tuple(y)}"
-        )
-    return KaramataVerdict.HOLDS_STRICT
-
-
-def _energies(n: int, k: int, head: list[int], tail: list[int], cuts: Iterable[int]) -> list[int]:
-    """Laplacian energy of each placement head[:c] + tail[c:], c in cuts.
-
-    The energy is M1 + c2: M1 sums the squared outdegrees, read off the
-    prefix sums of head's and tail's squares, and c2 = q*k(k-1) + r(r-1)
-    counts closed 2-walks, s(s-1) in each complete block of size s.
+    The energy is M1 + c2: M1 sums the squared outdegrees
+    (families.fnk_block_sums), and c2 = q*k(k-1) + r(r-1) counts closed
+    2-walks, s(s-1) in each complete block of size s.
     """
     q, r = divmod(n, k)
     c2 = q * k * (k - 1) + r * (r - 1)
-    heads = [0, *accumulate(map(operator.mul, head, head))]
-    tails = [0, *accumulate(map(operator.mul, tail, tail))]
-    return [heads[c] + tails[n] - tails[c] + c2 for c in cuts]
+    return [m1 + c2 for m1 in fnk_block_sums(n, k, blocks, 2)]
 
 
 def fnk_placement_energies(n: int, k: int) -> list[int]:
     """Laplacian energy of each member of enumerate_fnk_members(n, k), none built."""
-    return _energies(n, k, *fnk_placement_ends(n, k))
+    return _energies(n, k, fnk_placement_blocks(n, k))
 
 
 def fnk_residual_last_energy(n: int, k: int) -> int:
-    """Laplacian energy of the residual-last member alone: its cut is always n."""
-    head, tail, _ = fnk_placement_ends(n, k)
-    return _energies(n, k, head, tail, (n,))[0]
+    """Laplacian energy of the residual-last member alone, the last placement."""
+    return fnk_placement_energies(n, k)[-1]
+
+
+def _outdegrees(n: int, k: int, blocks: tuple[range, range, range], p: int) -> tuple[int, ...]:
+    """Placement p's outdegree sequence, vertex by vertex: each block's outdegree repeated over its size."""
+    head, resid, tail = blocks
+    before = [d for d in head[:p] for _ in range(k)]
+    after = [d for d in tail[p:] for _ in range(k)]
+    return tuple(before + [resid[p]] * (n % k) + after)
 
 
 def verify_fnk_ordering(n: int, k: int) -> list[tuple[int, int]]:
@@ -98,47 +59,43 @@ def verify_fnk_ordering(n: int, k: int) -> list[tuple[int, int]]:
     one (prefix sums of the outdegree sequence, checked between
     consecutive placements).  Raises ValueError unless n and k are >= 1,
     and when there is a single member with nothing to order: n % k == 0,
-    or n < k.  The placements are measured from fnk_placement_ends'
-    prefix sums, none built, in O(n) per (n, k).
+    or n < k.  The placements are measured from fnk_placement_blocks'
+    block outdegrees, none built, in O(q) per (n, k).
     """
-    head, tail, cuts = fnk_placement_ends(n, k)
-    if len(cuts) == 1:
+    blocks = fnk_placement_blocks(n, k)
+    head, resid, tail = blocks
+    q, r = divmod(n, k)
+    if not q or not r:
         raise ValueError(f"n={n}, k={k}: single member, no ordering to verify")
-    # Placement s = head[:c] + tail[c:] is non-increasing iff head[:c] has no
-    # rise (c <= head_stop, one past head's first rise), tail[c:] has none
-    # (c > tail_start, tail's last rise) and the junction does not rise.
-    head_stop = next(compress(count(1), map(operator.lt, head, head[1:])), n)
-    tail_start = max(compress(count(), map(operator.lt, tail, tail[1:])), default=-1)
-    for s, c in enumerate(cuts):
-        if not tail_start < c <= head_stop or 0 < c < n and head[c - 1] < tail[c]:
-            raise ArithmeticError(f"placement {s} is not non-increasing: {tuple(head[:c] + tail[c:])}")
-    energies = _energies(n, k, head, tail, cuts)
+    # Every block is constant, so every placement is non-increasing iff no two
+    # blocks that meet in some placement rise: consecutive heads (all meet in
+    # placement q), consecutive tails (in placement 0), and head[s-1] before
+    # resid[s] and resid[s] before tail[s] in placement s.  Only a failure
+    # lays placements out vertex by vertex to find the first with a rise.
+    meets = ((head, head[1:]), (tail, tail[1:]), (head, resid[1:]), (resid, tail))
+    if any(any(map(operator.lt, x, y)) for x, y in meets):
+        seqs = (_outdegrees(n, k, blocks, s) for s in range(q + 1))
+        s, seq = next((s, seq) for s, seq in enumerate(seqs) if any(map(operator.lt, seq, seq[1:])))
+        raise ArithmeticError(f"placement {s} is not non-increasing: {seq}")
+    energies = _energies(n, k, blocks)
     if not all(map(operator.lt, energies, energies[1:])):
-        s = next(s for s in range(len(cuts) - 1) if not energies[s] < energies[s + 1])
+        s = next(s for s in range(q) if not energies[s] < energies[s + 1])
         raise ArithmeticError(
             f"energy ordering violated at n={n}, k={k}: "
             f"LE(s={s})={energies[s]} !< LE(s={s + 1})={energies[s + 1]}"
         )
-    # Placements s and s+1 share their prefix sums up to cuts[s].  With
-    # diff = prefix sums of head minus those of tail, s+1's prefix sums
-    # exceed s's by diff[i] - diff[cuts[s]] up to cuts[s+1] and by the
-    # constant diff[cuts[s+1]] - diff[cuts[s]] after it, so s+1 majorizes s
-    # iff that constant is 0 (the totals agree) and diff never drops below
-    # diff[cuts[s]] in the window.  The windows tile [cuts[0], n], so every
-    # placement majorizes the one before it iff diff is the same at every
-    # cut and no lower from cuts[0] on; only a failure looks for its window.
+    # Placements s and s+1 agree outside the k + r labels from sk: there s
+    # has r vertices of a = resid[s] then k of t = tail[s], and s+1 has k of
+    # h = head[s] then r of b = resid[s+1].  The difference D(j) of their
+    # prefix sums j labels into that window is linear between 0 < r < k < k + r,
+    # so s+1 majorizes s iff D(r) = r(h - a) >= 0, D(k) = kh - ra - (k - r)t >= 0
+    # and D(k + r) = k(h - t) - r(a - b) = 0 (equal totals).
     # Majorization between equal-length sequences is transitive, so the
     # consecutive chain implies every later placement majorizes every
     # earlier one.
-    diff = [0, *map(operator.sub, accumulate(head), accumulate(tail))]
-    base = diff[cuts[0]]
-    if min(diff[cuts[0] :]) < base or any(diff[c] != base for c in cuts):
-        s = next(
-            s
-            for s, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
-            if not (diff[hi] == diff[lo] and min(diff[lo : hi + 1]) >= diff[lo])
-        )
-        raise ArithmeticError(
-            f"majorization violated at n={n}, k={k}: placement {s + 1} does not majorize placement {s}"
-        )
+    for s, (h, a, b, t) in enumerate(zip(head, resid, resid[1:], tail)):
+        if h < a or k * h < r * a + (k - r) * t or k * (h - t) != r * (a - b):
+            raise ArithmeticError(
+                f"majorization violated at n={n}, k={k}: placement {s + 1} does not majorize placement {s}"
+            )
     return list(enumerate(energies))

@@ -61,3 +61,14 @@ def fnk_placement_degrees(n: int, k: int) -> list[tuple[int, ...]]:
             seq += [n - 1 - len(seq)] * size
         seqs.append(tuple(seq))
     return seqs
+
+
+def naive_majorizes(x, y) -> bool:
+    """Reference majorization: every prefix sum of x dominates y's and the totals agree."""
+    sx = sy = 0
+    for a, b in zip(x, y):
+        sx += a
+        sy += b
+        if sx < sy:
+            return False
+    return sx == sy

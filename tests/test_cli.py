@@ -237,19 +237,19 @@ def test_verify_mismatch_lists_witness_classes(capsys, monkeypatch):
 
 def test_verify_failed_ordering_is_a_fail_row(capsys, monkeypatch):
     # A placement that is not non-increasing fails its lemma3.1 row (exit 1), not the command (exit 2).
-    ends = majorization.fnk_placement_ends
+    blocks = majorization.fnk_placement_blocks
 
     def reversed_tail(n, k):
-        head, tail, cuts = ends(n, k)
-        return (head, tail[::-1], cuts) if (n, k) == (7, 3) else (head, tail, cuts)
+        head, resid, tail = blocks(n, k)
+        return (head, resid, tail[::-1]) if (n, k) == (7, 3) else (head, resid, tail)
 
-    monkeypatch.setattr(majorization, "fnk_placement_ends", reversed_tail)
+    monkeypatch.setattr(majorization, "fnk_placement_blocks", reversed_tail)
     code, out, err = run(capsys, "verify", "lemma3.1", "--n-max", "7", "--k-max", "3")
     assert (code, err) == (1, "")
     lines = out.splitlines()
     assert lines[-3].split() == ["lemma3.1", "7", "3", "147", "-", "-", "mismatch", "FAIL"]
     # The row says why it failed, under the table.
-    assert lines[-2] == "lemma3.1 n=7 k=3: placement 0 is not non-increasing: (6, 2, 2, 5, 5, 5, 6)"
+    assert lines[-2] == "lemma3.1 n=7 k=3: placement 0 is not non-increasing: (6, 2, 2, 2, 5, 5, 5)"
     assert lines[-1] == "2/3 rows PASS"
 
 

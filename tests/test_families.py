@@ -10,7 +10,7 @@ from stlab.families import (
     enumerate_fnk_members,
     family_blocks,
     fnk_placement_arcs,
-    fnk_placement_ends,
+    fnk_placement_blocks,
     gen_bk,
     gen_complete_digraph,
     gen_fnk,
@@ -81,17 +81,21 @@ class TestFnk:
         assert fnk_placement_arcs(6, 3) == [ex_arcs_ck(6, 3).value]
 
     @pytest.mark.parametrize("n,k,message", [(5, 0, "n and k must be >= 1")])
-    def test_placement_degrees_validate(self, n, k, message):
+    def test_placement_blocks_validate(self, n, k, message):
         with pytest.raises(ValueError, match=message):
-            fnk_placement_ends(n, k)
+            fnk_placement_blocks(n, k)
 
-    def test_placement_ends_pinned(self):
-        # F(7, 3): blocks 3+3+1 (residual last) and 1+3+3 (residual first), cut at 1, 4 and 7.
-        head, tail, cuts = fnk_placement_ends(7, 3)
-        assert (head, tail, list(cuts)) == ([6, 6, 6, 3, 3, 3, 0], [6, 5, 5, 5, 2, 2, 2], [1, 4, 7])
-        assert [head[:c] + tail[c:] for c in cuts] == [list(seq) for seq in fnk_placement_degrees(7, 3)]
-        # r = 0 leaves one member, the residual-last chain, cut at n.
-        assert fnk_placement_ends(6, 3) == ([5, 5, 5, 2, 2, 2], [5, 5, 5, 2, 2, 2], range(6, 7))
+    def test_placement_blocks_pinned(self):
+        # F(7, 3): the k-blocks start at 0 and 3 before the residual block, which starts at
+        # 0, 3 or 6, and at 1 and 4 after it.
+        head, resid, tail = fnk_placement_blocks(7, 3)
+        assert (list(head), list(resid), list(tail)) == ([6, 3], [6, 3, 0], [5, 2])
+        layouts = [[6, 5, 5, 5, 2, 2, 2], [6, 6, 6, 3, 2, 2, 2], [6, 6, 6, 3, 3, 3, 0]]
+        assert layouts == [list(seq) for seq in fnk_placement_degrees(7, 3)]
+        for p, layout in enumerate(layouts):
+            assert [*head[:p], resid[p], *tail[p:]] == sorted(set(layout), reverse=True)
+        # r = 0 leaves one member, placement q: head's q blocks and an empty residual block.
+        assert fnk_placement_blocks(6, 3) == (range(5, -1, -3), range(5, -2, -3), range(5, -1, -3))
 
     def test_position_validation(self):
         with pytest.raises(ValueError, match="multiple"):

@@ -1,4 +1,4 @@
-import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,21 +8,22 @@ from stlab.digraph import out_degree_sequence
 from stlab.families import (
     enumerate_fnk_members,
     fnk_placement_arcs,
-    fnk_placement_ends,
+    fnk_placement_blocks,
     gen_fnk,
     gen_transitive_tournament,
 )
+from stlab.formulas import ex_arcs_ck, ex_le_ck
 from stlab.invariants import laplacian_energy
 from stlab.majorization import (
-    KaramataVerdict,
     fnk_placement_energies,
     fnk_residual_last_energy,
-    karamata_square_check,
-    majorizes,
     verify_fnk_ordering,
 )
 
-from conftest import fnk_placement_degrees
+from conftest import fnk_placement_degrees, naive_majorizes
+
+# naive_majorizes is the reference the built-members test checks consecutive
+# placements with; the law tests below pin it to majorization's definition.
 
 
 def sorted_seqs(max_len=10, max_val=20):
@@ -49,66 +50,26 @@ def transfer_pairs(draw):
 
 
 def test_examples():
-    assert majorizes((3, 2, 1, 0), (2, 2, 1, 1))
-    assert not majorizes((2, 2, 2), (3, 2, 1))
-    assert majorizes((4, 1), (4, 1))
-
-
-def naive_majorizes(x, y):
-    sx = sy = 0
-    for a, b in zip(x, y):
-        sx += a
-        sy += b
-        if sx < sy:
-            return False
-    return sx == sy
-
-
-def test_agrees_with_prefix_sum_loop():
-    rng = random.Random(20261018)
-    for _ in range(500):
-        length = rng.randint(1, 12)
-        x = sorted((rng.randint(0, 6) for _ in range(length)), reverse=True)
-        y = sorted((rng.randint(0, 6) for _ in range(length)), reverse=True)
-        if rng.random() < 0.5 and y[-1] >= sum(y) - sum(x):  # equal totals: the prefixes decide
-            y[-1] += sum(x) - sum(y)
-            y.sort(reverse=True)
-        assert majorizes(x, y) == naive_majorizes(x, y), (x, y)
-
-
-def test_length_mismatch():
-    with pytest.raises(ValueError, match="length"):
-        majorizes((2, 1), (2, 1, 0))
-    with pytest.raises(ValueError, match="length"):
-        karamata_square_check((2, 1), (2, 1, 0))
-
-
-def test_unsorted_rejected():
-    with pytest.raises(ValueError, match="non-increasing"):
-        majorizes((1, 2), (2, 1))
-
-
-def test_karamata_examples():
-    assert karamata_square_check((3, 2, 1, 0), (2, 2, 1, 1)) is KaramataVerdict.HOLDS_STRICT
-    assert karamata_square_check((4, 1), (4, 1)) is KaramataVerdict.HOLDS_EQUAL
-    assert karamata_square_check((2, 2, 2), (3, 2, 1)) is KaramataVerdict.NOT_APPLICABLE
+    assert naive_majorizes((3, 2, 1, 0), (2, 2, 1, 1))
+    assert not naive_majorizes((2, 2, 2), (3, 2, 1))
+    assert naive_majorizes((4, 1), (4, 1))
 
 
 @given(sorted_seqs())
 def test_reflexive(x):
-    assert majorizes(x, x)
+    assert naive_majorizes(x, x)
 
 
 @given(transfer_pairs())
 def test_transfers_majorize(pair):
     x, y = pair
-    assert majorizes(x, y)
+    assert naive_majorizes(x, y)
 
 
 @given(transfer_pairs())
 def test_antisymmetric(pair):
     x, y = pair
-    if majorizes(y, x):
+    if naive_majorizes(y, x):
         assert x == y
 
 
@@ -126,19 +87,8 @@ def test_transitive(pair, data):
             z[j] += 1
             z.sort(reverse=True)
     z = tuple(z)
-    assert majorizes(y, z)
-    assert majorizes(x, z)
-
-
-@given(transfer_pairs())
-def test_karamata_square_is_strict(pair):
-    x, y = pair
-    verdict = karamata_square_check(x, y)
-    if x == y:
-        assert verdict is KaramataVerdict.HOLDS_EQUAL
-    else:
-        assert verdict is KaramataVerdict.HOLDS_STRICT
-        assert sum(a * a for a in x) > sum(b * b for b in y)
+    assert naive_majorizes(y, z)
+    assert naive_majorizes(x, z)
 
 
 def test_ordering_pinned_pair():
@@ -171,9 +121,9 @@ def test_ordering_rejects_nonpositive_arguments(n, k):
 
 def test_placement_measures_match_built_members():
     # Every order and block size, including k > n and the r = 0 chains: the prefix-sum
-    # energies, arcs and ordering check against the built members, the spliced outdegree
-    # sequences against the block-by-block reference, and the public majorizes on every
-    # consecutive pair of built sequences.
+    # energies, arcs and ordering check against the built members, the placements laid out
+    # vertex by vertex from their blocks against the block-by-block reference, and the
+    # reference majorization on every consecutive pair of built sequences.
     # The k = 1 chain is the transitive tournament, so this also checks thm1.5's generator column.
     members = 0
     for n in range(1, 65):
@@ -185,9 +135,10 @@ def test_placement_measures_match_built_members():
             assert fnk_placement_energies(n, k) == energies, (n, k)
             assert fnk_residual_last_energy(n, k) == energies[-1], (n, k)
             assert fnk_placement_arcs(n, k) == [g.e for g in built], (n, k)
-            head, tail, cuts = fnk_placement_ends(n, k)
-            assert [tuple(head[:c] + tail[c:]) for c in cuts] == seqs == fnk_placement_degrees(n, k), (n, k)
-            assert all(map(majorizes, seqs[1:], seqs)), (n, k)
+            blocks, (q, r) = fnk_placement_blocks(n, k), divmod(n, k)
+            laid_out = [majorization._outdegrees(n, k, blocks, p) for p in (range(q + 1) if r else [q])]
+            assert laid_out == seqs == fnk_placement_degrees(n, k), (n, k)
+            assert all(map(naive_majorizes, seqs[1:], seqs)), (n, k)
             if len(built) > 1:
                 assert verify_fnk_ordering(n, k) == list(enumerate(energies)), (n, k)
             members += len(built)
@@ -217,42 +168,65 @@ def test_placement_measures_match_block_reference_past_max_vertices(n):
             assert verify_fnk_ordering(n, k) == list(enumerate(energies)), (n, k)
 
 
-def _patch_ends(monkeypatch, edit):
-    """Hand verify_fnk_ordering F(7, 3)'s (head, tail, cuts) after edit(head, tail)."""
-    head, tail, cuts = fnk_placement_ends(7, 3)
-    monkeypatch.setattr(majorization, "fnk_placement_ends", lambda n, k: (*edit(head, tail), cuts))
+def test_placement_measures_cost_follows_q_not_n():
+    # Two placements of a million-vertex chain: O(q) work, q = 1, where a per-vertex
+    # layout of each placement takes over half a second.  Placement s's energy is
+    # ex_le_ck(n, k) - (q - s)kr(k - r), and every placement has ex_arcs_ck(n, k) arcs.
+    n, k = 10**6 + 1, 10**6
+    start = time.perf_counter()
+    measured = (
+        verify_fnk_ordering(n, k),
+        fnk_placement_arcs(n, k),
+        fnk_placement_energies(n, k),
+        fnk_residual_last_energy(n, k),
+    )
+    elapsed = time.perf_counter() - start
+    le = ex_le_ck(n, k).value
+    energies = [le - k * (k - 1), le]
+    assert measured == (list(enumerate(energies)), [ex_arcs_ck(n, k).value] * 2, energies, le)
+    assert all(type(value) is int for value in (*measured[1], *measured[2], measured[3]))
+    assert elapsed < 0.1, elapsed
+
+
+def _patch_blocks(monkeypatch, edit):
+    """Hand verify_fnk_ordering F(7, 3)'s blocks, head [6, 3], resid [6, 3, 0] and tail [5, 2], after edit."""
+    blocks = [list(outdegrees) for outdegrees in fnk_placement_blocks(7, 3)]
+    monkeypatch.setattr(majorization, "fnk_placement_blocks", lambda n, k: edit(*blocks))
 
 
 def test_ordering_reports_majorization_violation(monkeypatch):
-    # A smaller sum in placement 0's tail window [1, 4): the totals disagree, while
-    # every placement stays non-increasing and the energies still increase.
-    _patch_ends(monkeypatch, lambda head, tail: (head, tail[:3] + [4] + tail[4:]))
+    # A lower tail[0]: placement 0's total falls short of placement 1's, while every
+    # placement stays non-increasing and the energies still increase.
+    _patch_blocks(monkeypatch, lambda head, resid, tail: (head, resid, [4] + tail[1:]))
     with pytest.raises(ArithmeticError, match="majorization violated at n=7, k=3: placement 1"):
         verify_fnk_ordering(7, 3)
-    # Equal totals, but placement 0's prefix sums pass placement 1's inside the window [1, 5).
-    head, tail = [9, 7, 7, 4, 3, 3, 2, 1, 0], [9, 8, 5, 4, 4, 3, 1, 1, 1]
-    monkeypatch.setattr(majorization, "fnk_placement_ends", lambda n, k: (head, tail, range(1, 10, 4)))
+    # Equal totals, but placement 0's prefix sums pass placement 1's inside their window:
+    # 8 against 7 at its first label.
+    monkeypatch.setattr(majorization, "fnk_placement_blocks", lambda n, k: ([7, 4], [8, 4, 0], [6, 3]))
     with pytest.raises(ArithmeticError, match="majorization violated at n=9, k=4: placement 1"):
         verify_fnk_ordering(9, 4)
 
 
 def test_ordering_reports_energy_violation(monkeypatch):
-    # Swapped ends run the placements backwards: residual last first.
-    _patch_ends(monkeypatch, lambda head, tail: (tail, head))
+    # Swapped head and tail run the placements backwards: residual last first.
+    _patch_blocks(monkeypatch, lambda head, resid, tail: (tail, resid, head))
     with pytest.raises(ArithmeticError, match="energy ordering violated at n=7, k=3"):
         verify_fnk_ordering(7, 3)
 
 
 def test_ordering_reports_non_increasing_violation(monkeypatch):
-    # Each placement is head[:c] + tail[c:]: a rise in tail shows first in placement 0,
-    # a rise in head first in the earliest placement whose cut passes it, and a rise at a
-    # cut in that placement alone.
-    _patch_ends(monkeypatch, lambda head, tail: (head, tail[::-1]))
-    with pytest.raises(ArithmeticError, match=r"placement 0 is not non-increasing: \(6, 2, 2, 5, 5, 5, 6\)"):
+    # Placement s is head[:s], resid[s], tail[s:] block by block: a rise in tail shows first
+    # in placement 0, a rise in head in placement q, the one that holds all of head, and a
+    # rise where the residual block meets the block after or before it in that placement alone.
+    _patch_blocks(monkeypatch, lambda head, resid, tail: (head, resid, tail[::-1]))
+    with pytest.raises(ArithmeticError, match=r"placement 0 is not non-increasing: \(6, 2, 2, 2, 5, 5, 5\)"):
         verify_fnk_ordering(7, 3)
-    _patch_ends(monkeypatch, lambda head, tail: ([5] + head[1:], tail))
-    with pytest.raises(ArithmeticError, match=r"placement 1 is not non-increasing: \(5, 6, 6, 3, 2, 2, 2\)"):
+    _patch_blocks(monkeypatch, lambda head, resid, tail: (head[::-1], resid, tail))
+    with pytest.raises(ArithmeticError, match=r"placement 2 is not non-increasing: \(3, 3, 3, 6, 6, 6, 0\)"):
         verify_fnk_ordering(7, 3)
-    _patch_ends(monkeypatch, lambda head, tail: (head, tail[:4] + [4, 4, 4]))
+    _patch_blocks(monkeypatch, lambda head, resid, tail: (head, resid, tail[:1] + [4]))
     with pytest.raises(ArithmeticError, match=r"placement 1 is not non-increasing: \(6, 6, 6, 3, 4, 4, 4\)"):
+        verify_fnk_ordering(7, 3)
+    _patch_blocks(monkeypatch, lambda head, resid, tail: (head, resid[:2] + [4], tail))
+    with pytest.raises(ArithmeticError, match=r"placement 2 is not non-increasing: \(6, 6, 6, 3, 3, 3, 4\)"):
         verify_fnk_ordering(7, 3)

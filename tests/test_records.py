@@ -1,6 +1,7 @@
 """The value types are collections.namedtuple subclasses: record semantics, and a lean import.
 
-Importing stlab.cli loads none of dataclasses, inspect, typing or pathlib.
+Importing stlab.cli loads none of dataclasses, inspect, typing or pathlib,
+and importing stlab loads no enum either (argparse, which the CLI needs, does).
 """
 
 import os
@@ -82,9 +83,13 @@ def test_bundle_repr_matches_the_readme_example():
 
 
 def test_import_loads_no_dataclasses_inspect_typing_or_pathlib():
-    # pytest has imported all four already, so a fresh interpreter checks; -S
-    # keeps site-packages' .pth hooks out of its modules.
-    code = "import stlab.cli, sys; print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} & set(sys.modules)))"
+    # pytest has imported all of them already, so a fresh interpreter checks; -S
+    # keeps site-packages' .pth hooks out of its modules.  The library alone
+    # loads no enum; the CLI's argparse imports re, which does.
+    code = (
+        "import sys, stlab; print(sorted({'enum'} & set(sys.modules)));"
+        "import stlab.cli; print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} & set(sys.modules)))"
+    )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[]\n[]\n"
