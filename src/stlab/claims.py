@@ -42,8 +42,9 @@ are those of search_extremal(n, k + 1, ...) without a search per row.
 Caps: n_max has none.  The oracle runs for n <= oracle_cap, default 5.
 ISO_CAP (16) bounds the search, whose levels and witness classes are told
 apart by canonical_label, so an oracle_cap that would run it above ISO_CAP
-is an error, not a silent clamp.  A larger oracle_cap is the caller's
-opt-in to the slower n >= 6 searches (the search's allow_slow).
+is an error, not a silent clamp; lemma3.1 runs no oracle and takes any
+oracle_cap >= 0.  A larger oracle_cap is the caller's opt-in to the slower
+n >= 6 descents.
 """
 
 from __future__ import annotations
@@ -160,11 +161,6 @@ def verify_theorem(tag: str, n_max: int, k_max: int = 5, oracle_cap: int = 5) ->
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if oracle_cap < 0:
         raise ValueError(f"oracle_cap must be >= 0, got {oracle_cap}")
-    if min(oracle_cap, n_max) > ISO_CAP:
-        raise ValueError(
-            f"the oracle is capped at n <= ISO_CAP = {ISO_CAP}; oracle_cap {oracle_cap} "
-            f"with n_max {n_max} asks for n = {min(oracle_cap, n_max)}"
-        )
     rows = _grid_rows(tag, n_max, k_max, oracle_cap)
     if not rows:
         raise ValueError(f"empty grid: {tag} has no rows with n <= {n_max} and k <= {k_max}")
@@ -174,9 +170,14 @@ def verify_theorem(tag: str, n_max: int, k_max: int = 5, oracle_cap: int = 5) ->
 def _grid_rows(tag: str, n_max: int, k_hi: int, oracle_cap: int) -> list[ClaimRow]:
     if tag == "lemma3.1":
         return _ordering_rows(n_max, k_hi)
+    top = min(oracle_cap, n_max)
+    if top > ISO_CAP:
+        raise ValueError(
+            f"the oracle is capped at n <= ISO_CAP = {ISO_CAP}; oracle_cap {oracle_cap} "
+            f"with n_max {n_max} asks for n = {top}"
+        )
     spec = _claim_specs()[tag]
     rows: list[ClaimRow] = []
-    top = min(oracle_cap, n_max)
     for k in range(3, k_hi + 1) if spec.k is None else (spec.k,):
         # One descent per column: its level n holds every order-n maximiser.
         reports = search_every_order(top, k + 1, spec.objective) if top else []

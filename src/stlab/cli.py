@@ -5,7 +5,8 @@ stable for CI: 0 success/PASS, 1 verification failure, 2 usage error; an
 input file that cannot be read and a --out that cannot be written are
 usage errors too.  search and verify take --jobs, default 1; a value below
 1 is a usage error on both, and any other value has no effect: the search
-oracle runs in one process.
+oracle runs in one process.  search needs --allow-slow for 6 <= n <= ISO_CAP,
+since its cost grows steeply with n; verify's --oracle-cap is its opt-in.
 
 Dispatch: ``COMMANDS`` holds each subcommand's help line and the function
 that adds its arguments, and ``_build_parser`` builds the full parser from
@@ -38,7 +39,7 @@ from stlab.families import (
 )
 from stlab.formulas import ex_arcs_ck, ex_le_ck, ex_m1_c3
 from stlab.invariants import measure
-from stlab.search import search_extremal
+from stlab.search import ISO_CAP, search_extremal
 from stlab.serialize import (
     bundle_json,
     digraph_json,
@@ -140,13 +141,19 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    # Above ISO_CAP the search's own error names the cap.
+    if 6 <= args.n <= ISO_CAP and not args.allow_slow:
+        raise ValueError(
+            f"n={args.n} builds every isomorphism class above the descent thresholds, a count that "
+            "grows steeply with n (n=8, L=2, ARCS builds all 6,880 tournament classes); "
+            "enable it explicitly with --allow-slow"
+        )
     report = search_extremal(
         args.n,
         args.forbid_cycle,
         args.objective,
         scope="connected_only" if args.connected_only else "all",
         jobs=args.jobs,
-        allow_slow=args.allow_slow,
     )
     text = dumps(report_json(report))
     if args.out:

@@ -23,7 +23,7 @@ residual-last chain's k-blocks, the residual block and a suffix of the
 residual-first chain's k-blocks (``fnk_placement_blocks``).  A block of b
 vertices with outdegree d adds b*d arcs and b*d^2 to M1, so a sum over any
 placement is two prefix-sum lookups over q = n // k blocks, and
-``fnk_placement_arcs``, ``majorization.fnk_placement_energies``,
+``fnk_placement_arcs``, ``majorization.fnk_residual_last_energy``,
 ``majorization.verify_fnk_ordering`` and the claims' generator columns do
 O(q) work per (n, k), at any order: only what builds a Digraph is held to
 MAX_VERTICES.

@@ -31,14 +31,9 @@ def _energies(n: int, k: int, blocks: tuple[range, range, range]) -> list[int]:
     return [m1 + c2 for m1 in fnk_block_sums(n, k, blocks, 2)]
 
 
-def fnk_placement_energies(n: int, k: int) -> list[int]:
-    """Laplacian energy of each member of enumerate_fnk_members(n, k), none built."""
-    return _energies(n, k, fnk_placement_blocks(n, k))
-
-
 def fnk_residual_last_energy(n: int, k: int) -> int:
-    """Laplacian energy of the residual-last member alone, the last placement."""
-    return fnk_placement_energies(n, k)[-1]
+    """Laplacian energy of the residual-last member of enumerate_fnk_members(n, k), the last placement, none built."""
+    return _energies(n, k, fnk_placement_blocks(n, k))[-1]
 
 
 def _outdegrees(n: int, k: int, blocks: tuple[range, range, range], p: int) -> tuple[int, ...]:

@@ -46,11 +46,13 @@ to sort and emit the witnesses; the report keeps those canonical forms, so
 nothing labels a witness again.
 
 T_n is the best value among family members that find_cycle_of_length
-confirms C_L-free and that meet the scope: the fnk chains with k = L-1 (the
-single block K_n when L > n, the transitive tournament when L = 2).  Any
-such lower bound keeps the descent exact, and none is a closed form, so the
-oracle stays independent of the claims it checks.  connected_only filters
-the top level; every seed is connected.
+confirms C_L-free: the fnk chains with k = L-1 (the single block K_n when
+L > n, the transitive tournament when L = 2).  Any such lower bound keeps
+the descent exact, and none is a closed form, so the oracle stays
+independent of the claims it checks.  T_n needs no scope: each block of a
+chain dominates the next, so every seed is weakly connected and bounds the
+connected maximum too.  Both scopes therefore run the same levels, and
+connected_only filters the top level alone.
 The cost grows with the number of classes above the thresholds, not with
 the 2^(n(n-1)) labelled digraphs the answer is exact over.
 
@@ -139,13 +141,9 @@ def _threshold_below(objective: str, m: int, t: int) -> int:
     return -(-total // m)
 
 
-def _seed_value(n: int, length: int, measure: Callable[[Digraph], int], connected_only: bool) -> int:
-    """Best value among family members confirmed C_length-free: a lower bound on the maximum."""
-    return max(
-        measure(g)
-        for g in enumerate_fnk_members(n, length - 1)
-        if find_cycle_of_length(g, length) is None and (is_weakly_connected(g) or not connected_only)
-    )
+def _seed_value(n: int, length: int, measure: Callable[[Digraph], int]) -> int:
+    """Best value among family members confirmed C_length-free: a lower bound on the maximum in either scope."""
+    return max(measure(g) for g in enumerate_fnk_members(n, length - 1) if find_cycle_of_length(g, length) is None)
 
 
 Keys = list[tuple[int, int, int]]
@@ -272,29 +270,21 @@ class ExtremalSearchReport(
         return 1 << (self.n * (self.n - 1))
 
 
-def _validated(n: int, forbidden_len: int, objective: str, scope: str, allow_slow: bool) -> str:
-    """The upper-cased objective, once the search arguments are checked."""
+def _validated(n: int, forbidden_len: int, objective: str) -> str:
+    """The upper-cased objective, once the arguments every descent takes are checked."""
     obj = str(objective).upper()
     if obj not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    if scope not in SCOPES:
-        raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
     if forbidden_len < 2:
         raise ValueError(f"forbidden cycle length must be >= 2, got {forbidden_len}")
     if not 1 <= n <= ISO_CAP:
         raise ValueError(f"n must be in 1..{ISO_CAP} (the search is capped at ISO_CAP), got {n}")
-    if n >= 6 and not allow_slow:
-        raise ValueError(
-            f"n={n} builds every isomorphism class above the descent thresholds, a count that "
-            "grows steeply with n (n=8, L=2, ARCS builds all 6,880 tournament classes); "
-            "enable it explicitly with allow_slow (--allow-slow)"
-        )
     return obj
 
 
-def _descent(n: int, forbidden_len: int, obj: str, connected_only: bool) -> Iterator[Level]:
-    """Levels 1..n of the threshold descent from T_n, the seed value in the scope."""
-    thresholds = {n: _seed_value(n, forbidden_len, _MEASURES[obj], connected_only)}
+def _descent(n: int, forbidden_len: int, obj: str) -> Iterator[Level]:
+    """Levels 1..n of the threshold descent from T_n, the seed value."""
+    thresholds = {n: _seed_value(n, forbidden_len, _MEASURES[obj])}
     for m in range(n, 1, -1):
         thresholds[m - 1] = _threshold_below(obj, m, thresholds[m])
     level: Level = [(None, Digraph(1, (0,)))]
@@ -333,25 +323,26 @@ def search_extremal(
     objective: str,
     scope: str = "all",
     jobs: int = 1,
-    allow_slow: bool = False,
 ) -> ExtremalSearchReport:
     """Exact maximum of the objective over all forbidden-cycle-free digraphs.
 
     objective is one of LE, M1, ARCS (case-insensitive); scope "all" or
     "connected_only".  forbidden_len may exceed n, in which case nothing is
-    excluded.  n is capped at ISO_CAP, and n >= 6 must be enabled with
-    allow_slow.  jobs stays for the callers that pass it: it must be >= 1
-    and has no other effect, since the descent runs in one process.
+    excluded.  n is capped at ISO_CAP, and the cost grows steeply with n
+    (stlab search asks for --allow-slow from n = 6).  jobs stays for the
+    callers that pass it: it must be >= 1 and has no other effect, since
+    the descent runs in one process.
     """
-    obj = _validated(n, forbidden_len, objective, scope, allow_slow)
+    obj = _validated(n, forbidden_len, objective)
+    if scope not in SCOPES:
+        raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
     start = time.perf_counter()
-    connected_only = scope == "connected_only"
-    for level in _descent(n, forbidden_len, obj, connected_only):
+    for level in _descent(n, forbidden_len, obj):
         pass  # only the top level is measured and labelled
-    if connected_only:
+    if scope == "connected_only":
         level = [(data, g) for data, g in level if is_weakly_connected(g)]
     return _report(n, level, forbidden_len, obj, scope, start)
 
@@ -362,12 +353,11 @@ def search_every_order(n: int, forbidden_len: int, objective: str) -> list[Extre
     Level m of the descent to n holds every order-m maximiser (module
     docstring), so each report equals the order-m search's apart from
     elapsed_ms, here the time from the start to that report.  The
-    arguments are checked as search_extremal checks them, except that
-    n >= 6 needs no opt-in: verify's oracle_cap is the caller's.
+    arguments are checked as search_extremal checks the ones they share.
     """
-    obj = _validated(n, forbidden_len, objective, "all", True)
+    obj = _validated(n, forbidden_len, objective)
     start = time.perf_counter()
-    levels = enumerate(_descent(n, forbidden_len, obj, False), start=1)
+    levels = enumerate(_descent(n, forbidden_len, obj), start=1)
     return [_report(m, level, forbidden_len, obj, "all", start) for m, level in levels]
 
 

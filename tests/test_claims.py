@@ -97,6 +97,11 @@ def test_oracle_cap_above_iso_cap_is_rejected(capsys):
     assert f"ISO_CAP = {ISO_CAP}" in captured.err
 
 
+def test_oracle_cap_above_iso_cap_without_oracle_column():
+    # lemma3.1 runs no oracle, so no cap can run one above ISO_CAP.
+    assert verify_theorem("lemma3.1", 20, k_max=4, oracle_cap=20) == verify_theorem("lemma3.1", 20, k_max=4)
+
+
 def test_oracle_cap_above_iso_cap_with_small_grid(monkeypatch):
     # Only the orders the grid reaches count: a large cap with a small n_max is valid.
     rows = verify_theorem("thm1.5", 8, oracle_cap=64)

@@ -201,7 +201,14 @@ def test_search_stdout_and_file(tmp_path, capsys):
 def test_search_n6_requires_flag(capsys):
     code, _, err = run(capsys, "search", "--n", "6", "--forbid-cycle", "3", "--objective", "le")
     assert code == 2
-    assert "allow_slow" in err
+    assert "--allow-slow" in err
+    # Above ISO_CAP the cap is the fault, with or without the flag.
+    code, _, err = run(capsys, "search", "--n", "17", "--forbid-cycle", "3", "--objective", "le")
+    assert code == 2
+    assert "ISO_CAP" in err
+    code, out, _ = run(capsys, "search", "--n", "6", "--forbid-cycle", "3", "--objective", "le", "--allow-slow")
+    assert code == 0
+    assert json.loads(out)["max_value"] == 76
 
 
 def test_verify_pass_and_fail_codes(capsys):

@@ -326,7 +326,7 @@ class TestDeletionFilter:
             patch.setattr(search, "_next_level", recording_grow)
             patch.setattr(search, "_extensions", recording_extensions)
             patch.setattr(search, "canonical_label", counting)
-            search_extremal(n, length, objective, scope=scope, allow_slow=True)
+            search_extremal(n, length, objective, scope=scope)
         return stored, arrived, len(calls)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -356,7 +356,7 @@ class TestDeletionFilter:
 def test_tournament_class_counts(n, classes):
     # The extremal digraphs for L = 2 and ARCS are the tournaments, whose
     # classes are counted independently (OEIS A000568).
-    report = search_extremal(n, 2, "ARCS", allow_slow=True)
+    report = search_extremal(n, 2, "ARCS")
     assert (report.max_value, len(report.witnesses)) == (n * (n - 1) // 2, classes)
 
 
@@ -369,7 +369,7 @@ def test_small_order_reports_pinned():
         for length in range(2, n + 2):
             for objective in OBJECTIVES:
                 for scope in SCOPES:
-                    report = search_extremal(n, length, objective, scope=scope, allow_slow=True)
+                    report = search_extremal(n, length, objective, scope=scope)
                     digest.update(dumps(report_json(report)).encode())
     assert digest.hexdigest() == "9aba9679bee34d2024fabc320bcdb1060a25df5bbd68b7407bc46b7c500f437a"
 
@@ -384,7 +384,7 @@ def test_every_order_reports_match_per_order_searches():
                 reports = search_every_order(n, length, objective)
                 assert [report.n for report in reports] == list(range(1, n + 1))
                 for m, report in enumerate(reports, start=1):
-                    want = search_extremal(m, length, objective, allow_slow=True)
+                    want = search_extremal(m, length, objective)
                     assert dumps(report_json(report)) == dumps(report_json(want)), (n, m, length, objective)
 
 
@@ -406,20 +406,21 @@ def test_seed_value_needs_no_transitive_tournament():
     # Every fnk(n, L-1) member holds the arc u -> v for every u < v (at L = 2
     # it is the transitive tournament), so it dominates the tournament on
     # every objective and the tournament raises no T_n.  The bk01 chains
-    # raise none at L = 3 either; the reference seeds from both.
+    # raise none at L = 3 either; the reference seeds from both.  The seed
+    # value takes no scope: the best connected seed is the best seed.
     for n in range(1, ISO_CAP + 1):
         for length in range(2, n + 2):
             seeds = [gen_transitive_tournament(n), *enumerate_fnk_members(n, length - 1)]
             if length == 3:
                 seeds += enumerate_bk01_members(n)
             for objective, value in MEASURES.items():
+                got = search._seed_value(n, length, search._MEASURES[objective])
                 for connected_only in (False, True):
                     want = max(
                         value(g)
                         for g in seeds
                         if is_ck_free(g, length) and (is_weakly_connected(g) or not connected_only)
                     )
-                    got = search._seed_value(n, length, search._MEASURES[objective], connected_only)
                     assert got == want, (n, length, objective, connected_only)
 
 
@@ -467,7 +468,7 @@ def test_n6_maxima_and_class_counts(length):
     # Measured by the exhaustive 2^30-mask sweep that preceded the descent.
     for objective, want in zip(OBJECTIVES, N6_TABLE[length]):
         for scope in SCOPES:
-            report = search_extremal(6, length, objective, scope=scope, allow_slow=True)
+            report = search_extremal(6, length, objective, scope=scope)
             assert (report.max_value, len(report.witnesses)) == want, (objective, scope)
 
 
@@ -880,7 +881,5 @@ class TestSearch:
             search_extremal(ISO_CAP + 1, 3, "LE")
         with pytest.raises(ValueError, match=rf"n must be in 1\.\.{ISO_CAP} .*got 0"):
             search_extremal(0, 3, "LE")
-        with pytest.raises(ValueError, match="allow_slow"):
-            search_extremal(6, 3, "LE")
         with pytest.raises(ValueError, match="jobs"):
             search_extremal(3, 3, "LE", jobs=0)
