@@ -26,7 +26,8 @@ block has the block's outdegree (families.fnk_placement_blocks), and a
 block of b vertices with outdegree d adds b*d arcs and b*d^2 to M1
 (families.fnk_block_sums).  thm1.3 measures every placement of the chain
 family this way (families.fnk_placement_arcs), lemma2.1 the residual-last
-chain's M1, thm1.4 and thm1.5 add its c2 = qk(k-1) + r(r-1) closed 2-walks
+chain's M1 alone (families.fnk_residual_last_m1), thm1.4 and thm1.5 add
+its c2 = qk(k-1) + r(r-1) closed 2-walks
 (majorization.fnk_residual_last_energy), and thm1.6 measures its chains
 by bk01_energy_range.  The witnesses are built for the oracle
 alone.  Rows beyond the cap keep their oracle columns marked "skipped" and
@@ -57,9 +58,8 @@ from stlab.families import (
     bk01_energy_range,
     enumerate_bk01_members,
     enumerate_fnk_members,
-    fnk_block_sums,
     fnk_placement_arcs,
-    fnk_placement_blocks,
+    fnk_residual_last_m1,
     gen_fnk,
     gen_transitive_tournament,
 )
@@ -121,7 +121,7 @@ def _fnk_extremal_le(n: int, k: int) -> list[int]:
 
 def _fnk_extremal_m1(n: int, k: int) -> list[int]:
     """First Zagreb index of the residual-last chain, the last placement's sum of squared outdegrees."""
-    return [fnk_block_sums(n, k, fnk_placement_blocks(n, k), 2)[-1]]
+    return [fnk_residual_last_m1(n, k)]
 
 
 def _claim_specs() -> dict[str, ClaimSpec]:

@@ -23,7 +23,7 @@ residual-last chain's k-blocks, the residual block and a suffix of the
 residual-first chain's k-blocks (``fnk_placement_blocks``).  A block of b
 vertices with outdegree d adds b*d arcs and b*d^2 to M1, so a sum over any
 placement is two prefix-sum lookups over q = n // k blocks, and
-``fnk_placement_arcs``, ``majorization.fnk_residual_last_energy``,
+``fnk_placement_arcs``, ``fnk_residual_last_m1``,
 ``majorization.verify_fnk_ordering`` and the claims' generator columns do
 O(q) work per (n, k), at any order: only what builds a Digraph is held to
 MAX_VERTICES.
@@ -160,6 +160,18 @@ def fnk_block_sums(n: int, k: int, blocks: tuple[range, range, range], power: in
     tails = [0, *accumulate(map(pow, tail, repeat(power)))]
     total = tails[-1]
     return [k * (h + total - t) + r * d**power for h, t, d in zip(heads, tails, resid)]
+
+
+def fnk_residual_last_m1(n: int, k: int) -> int:
+    """First Zagreb index of the residual-last member of enumerate_fnk_members(n, k), the last placement, none built.
+
+    Placement q has every k-block of head and the residual block resid[q],
+    so its sum of squared outdegrees is k * sum(head^2) + r * resid[q]^2,
+    without the other placements' sums.
+    """
+    head, resid, _ = fnk_placement_blocks(n, k)
+    q, r = divmod(n, k)
+    return k * sum(d * d for d in head) + r * resid[q] ** 2
 
 
 def fnk_placement_arcs(n: int, k: int) -> list[int]:

@@ -15,25 +15,25 @@ from __future__ import annotations
 import operator
 
 # gen_fnk and laplacian_energy stay importable here: perfbench's tracer wraps them at this site.
-from stlab.families import fnk_block_sums, fnk_placement_blocks, gen_fnk
+from stlab.families import fnk_block_sums, fnk_placement_blocks, fnk_residual_last_m1, gen_fnk
 from stlab.invariants import laplacian_energy
 
 
-def _energies(n: int, k: int, blocks: tuple[range, range, range]) -> list[int]:
-    """Laplacian energy of each placement with these blocks.
-
-    The energy is M1 + c2: M1 sums the squared outdegrees
-    (families.fnk_block_sums), and c2 = q*k(k-1) + r(r-1) counts closed
-    2-walks, s(s-1) in each complete block of size s.
-    """
+def _c2(n: int, k: int) -> int:
+    """Closed 2-walks of every fnk placement: q*k(k-1) + r(r-1), s(s-1) in each complete block of size s."""
     q, r = divmod(n, k)
-    c2 = q * k * (k - 1) + r * (r - 1)
+    return q * k * (k - 1) + r * (r - 1)
+
+
+def _energies(n: int, k: int, blocks: tuple[range, range, range]) -> list[int]:
+    """Laplacian energy of each placement with these blocks: M1 (families.fnk_block_sums) + c2."""
+    c2 = _c2(n, k)
     return [m1 + c2 for m1 in fnk_block_sums(n, k, blocks, 2)]
 
 
 def fnk_residual_last_energy(n: int, k: int) -> int:
     """Laplacian energy of the residual-last member of enumerate_fnk_members(n, k), the last placement, none built."""
-    return _energies(n, k, fnk_placement_blocks(n, k))[-1]
+    return fnk_residual_last_m1(n, k) + _c2(n, k)
 
 
 def _outdegrees(n: int, k: int, blocks: tuple[range, range, range], p: int) -> tuple[int, ...]:

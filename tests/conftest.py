@@ -1,7 +1,40 @@
 import random
+import signal
+
+import pytest
 
 from stlab.digraph import Digraph, build_digraph
 from stlab.families import fnk_block_sizes
+
+# Wall-clock bound per test.  The slowest tier-1 test takes under 2 s on a
+# 2-vCPU VM, so only a hang reaches it: a broken extension loop in the
+# descent, say, then fails its test instead of stalling the run.
+TIME_BOUND_S = 60
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "time_bound(seconds): this test's wall-clock bound in place of TIME_BOUND_S")
+
+
+@pytest.fixture(autouse=True)
+def _time_bound(request):
+    """Raise TimeoutError in a test still running after its bound; no bound where SIGALRM does not exist."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    marker = request.node.get_closest_marker("time_bound")
+    seconds = marker.args[0] if marker else TIME_BOUND_S
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{request.node.nodeid} ran past its time bound of {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_digraph(rng: random.Random, n: int, p: float = 0.5) -> Digraph:

@@ -102,8 +102,10 @@ class TestFnk:
             gen_fnk(6, 3, 1)
         with pytest.raises(ValueError, match="required"):
             gen_fnk(5, 3)
-        with pytest.raises(ValueError, match="r_position must be"):
-            gen_fnk(5, 3, 3)
+        # Positions run 1..q+1; both ends are checked.
+        for position in (0, 3):
+            with pytest.raises(ValueError, match="r_position must be"):
+                gen_fnk(5, 3, position)
         with pytest.raises(ValueError, match="k must be"):
             gen_fnk(5, 0)
 

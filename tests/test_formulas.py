@@ -61,6 +61,12 @@ def test_exact_value_rejects_inexact_division():
         ExactValue(numerator=7, denominator=3, source="x")
 
 
+@pytest.mark.parametrize("denominator", [0, -1])
+def test_exact_value_rejects_non_positive_denominator(denominator):
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        ExactValue(1, denominator, "x")
+
+
 def test_dispatcher_coherence():
     # the general cubic agrees with the dedicated k = 1 and k = 2 forms
     for n in range(1, 201):

@@ -9,11 +9,12 @@ from stlab.families import (
     enumerate_fnk_members,
     fnk_placement_arcs,
     fnk_placement_blocks,
+    fnk_residual_last_m1,
     gen_fnk,
     gen_transitive_tournament,
 )
 from stlab.formulas import ex_arcs_ck, ex_le_ck
-from stlab.invariants import laplacian_energy
+from stlab.invariants import first_zagreb, laplacian_energy
 from stlab.majorization import fnk_residual_last_energy, verify_fnk_ordering
 
 from conftest import fnk_placement_degrees, naive_majorizes
@@ -129,6 +130,7 @@ def test_placement_measures_match_built_members():
             energies = [laplacian_energy(g) for g in built]
             seqs = [out_degree_sequence(g) for g in built]
             assert fnk_residual_last_energy(n, k) == energies[-1], (n, k)
+            assert fnk_residual_last_m1(n, k) == first_zagreb(built[-1]), (n, k)
             assert fnk_placement_arcs(n, k) == [g.e for g in built], (n, k)
             blocks, (q, r) = fnk_placement_blocks(n, k), divmod(n, k)
             laid_out = [majorization._outdegrees(n, k, blocks, p) for p in (range(q + 1) if r else [q])]
@@ -148,15 +150,17 @@ def test_placement_measures_match_block_reference_past_max_vertices(n):
     # and a complete block of size b closes b(b-1) 2-walks.
     for k in range(1, n + 2):
         q, r = divmod(n, k)
-        arcs, energies = [], []
+        arcs, m1s, energies = [], [], []
         for p in range(q + 1) if r else [q]:
             sizes = [k] * p + [r] * bool(r) + [k] * (q - p)
             seq: list[int] = []
             for size in sizes:
                 seq += [n - 1 - len(seq)] * size
             arcs.append(sum(seq))
-            energies.append(sum(d * d for d in seq) + sum(b * (b - 1) for b in sizes))
+            m1s.append(sum(d * d for d in seq))
+            energies.append(m1s[-1] + sum(b * (b - 1) for b in sizes))
         assert fnk_placement_arcs(n, k) == arcs, (n, k)
+        assert fnk_residual_last_m1(n, k) == m1s[-1], (n, k)
         assert fnk_residual_last_energy(n, k) == energies[-1], (n, k)
         if r and q:
             assert verify_fnk_ordering(n, k) == list(enumerate(energies)), (n, k)

@@ -700,14 +700,61 @@ class TestCanonicalLabel:
         ids=["K16", "empty16", "fnk16-3-2"],
     )
     def test_twins_take_one_leaf(self, g, monkeypatch):
-        # Each leaf transposes the in-rows once.  Wherever the search branches,
-        # every other candidate is a twin of the first, so one leaf suffices (16,
-        # 16 and 11 leaves when twin swaps were found only from equal leaves).
+        # Every (outdegree, indegree) cell is a class of twins, so the label is the
+        # root leaf: one transpose of the in-rows, with neither refinement nor the
+        # partition search run (16, 16 and 11 leaves when twin swaps were found
+        # only from equal leaves, then one leaf reached position by position).
         leaves = []
         counting = lambda ins, order: leaves.append(order) or _relabelled_rows(ins, order)
         monkeypatch.setattr(search, "_relabelled_rows", counting)
+
+        def never(*args):
+            raise AssertionError("twin cells need no refinement or search")
+
+        monkeypatch.setattr(search, "_refine_colors", never)
+        monkeypatch.setattr(search, "_least_leaf", never)
         canonical_label(g)
         assert len(leaves) == 1
+
+    def test_twin_cells_take_the_root_leaf(self, monkeypatch):
+        # K_n, K_n minus one arc, the empty digraph, the transitive tournament, every
+        # fnk member and blow-ups whose degree cells are twin classes, each relabelled:
+        # the root leaf's bytes are the partition search's and, up to n = 7, the
+        # exhaustive reference's.
+        rng = random.Random(59)
+        inputs = []
+        for n in range(1, ISO_CAP + 1):
+            kn = gen_complete_digraph(n)
+            inputs += [kn, build_digraph(n, []), gen_transitive_tournament(n)]
+            inputs += [g for k in range(1, n + 1) for g in enumerate_fnk_members(n, k)]
+            if n >= 3:
+                # K_n minus the arc (0, 1): cells {0}, {1} and the rest, which is complete.
+                g = Digraph(n, (kn.rows[0] & ~0b10,) + kn.rows[1:])
+                assert search._twin_order(g.rows, in_rows(g)) == list(range(n))
+                inputs.append(g)
+        blowups = [_blowup(rng, rng.randint(2, ISO_CAP)) for _ in range(200)]
+        blowups = [g for g in blowups if search._twin_order(g.rows, in_rows(g)) is not None]
+        assert len(blowups) > 50
+        inputs = [_relabelled(g, rng) for g in inputs + blowups]
+        shortcut = [canonical_label(g).data for g in inputs]
+        assert all(search._twin_order(g.rows, in_rows(g)) is not None for g in inputs)
+        monkeypatch.setattr(search, "_twin_order", lambda rows, ins: None)
+        assert shortcut == [canonical_label(g).data for g in inputs]
+        for g, data in zip(inputs, shortcut):
+            if g.n <= 7:
+                assert data == _reference_canonical_bytes(g), g
+
+    @pytest.mark.parametrize("parts", [[4], [4, 2]])
+    def test_near_miss_takes_the_search(self, parts, monkeypatch):
+        # The two sides of a 4-block share one (outdegree, indegree) cell, but a
+        # vertex and one across are no twins: the cell is not a twin class.
+        g = _relabelled(gen_bk(parts), random.Random(61))
+        assert search._twin_order(g.rows, in_rows(g)) is None
+        searched = []
+        least_leaf = search._least_leaf
+        monkeypatch.setattr(search, "_least_leaf", lambda g, ins: searched.append(g) or least_leaf(g, ins))
+        assert canonical_label(g).data == _reference_canonical_bytes(g)
+        assert searched == [g]
 
     def test_complete_digraph_is_its_own_form(self):
         k10 = gen_complete_digraph(10)
