@@ -3,16 +3,30 @@
 A copy of C_len means a directed cycle of length exactly ``len``; digraphs
 may contain shorter or longer cycles and still be C_len-free.  The search
 is depth-first over simple paths anchored at the minimum-labelled vertex
-of the would-be cycle, so each cycle is traversed exactly once.  A cycle
-lives entirely inside one strongly connected component, and three exact
-prunes keep dense-but-free instances tractable.  Size: a component with
-fewer than len vertices is skipped.  Period: so is one whose period, the
-gcd of its cycle lengths, does not divide len; the balanced bipartite
-blocks of gen_bk have period 2, so every odd len skips them.  Return
-distance: a partial path is abandoned as soon as the shortest way back to
-the anchor exceeds the arcs left.  All three rest on the in-neighbour rows
-that digraph.in_rows unpacks from one packed block-swap transpose per
-call.  The components come from two Kosaraju passes that each visit every
+of the would-be cycle, so each cycle is traversed exactly once.  It is one
+loop over a stack that holds, per depth, the out-neighbours of that path
+vertex still to try, lowest label first, so the witness is the first
+cycle in that order.  A cycle lives entirely inside one strongly
+connected component, and four exact prunes keep dense-but-free and sparse
+instances tractable.  Size: a component with fewer than len vertices is
+skipped.  Period: so is one whose period, the gcd of its cycle lengths,
+does not divide len; the balanced bipartite blocks of gen_bk have period
+2, so every odd len skips them.  Return distance: a partial path is
+abandoned as soon as the shortest way back to the anchor exceeds the arcs
+left.  Reach: call a vertex free when the anchor's search allows it and
+the path does not hold it.  A path of d + 1 vertices still needs
+len - d - 1 free vertices, and each of them is reached from the path's
+end through free vertices (the rest of the cycle) and reaches the anchor
+through free vertices.  So a node with fewer free vertices in both sets
+is abandoned, and otherwise only its out-neighbours in both are tried.
+Both sets depend on the path alone, so the cut runs at most once per
+node, and only once the node's first child has failed: a search whose
+first path closes, such as K_n at len n, never pays for it.  A random
+149-arc digraph on 32 vertices took 13.5 s at len 32 without the cut and
+2 ms with it.  The prunes rest on the in-neighbour rows that
+digraph.in_rows unpacks from one packed block-swap transpose per call.
+
+The components come from two Kosaraju passes that each visit every
 vertex once: a depth-first search along the rows records finish order,
 then bitset BFS layers backward along the in-rows, taken in reverse finish
 order, peel off one component each.  Those layers hold each member's
@@ -20,8 +34,10 @@ distance back to the vertex that starts its component, and the period is the
 gcd of d(w) + 1 - d(u) over the component's arcs u -> w (Denardo,
 "Periods of connected networks and powers of nonnegative matrices", 1977).
 The return prune is a bitset BFS from the anchor along the in-rows that
-keeps layer d, the vertices at most d arcs from it, up to the closure;
-one primitive, digraph._reach_layers, gives the component layers and it.
+keeps layer d, the vertices at most d arcs from it, up to the closure.
+One primitive, digraph._reach_layers, gives the component layers, those
+return layers, and the two reach sets as the closures of a forward and a
+backward BFS inside the free vertices.
 
 path_ends gives, per vertex, where the simple paths of an exact arc count
 from it end; the search oracle uses it to keep one-vertex extensions
@@ -121,27 +137,47 @@ def _period_divides(into: Sequence[int], layers: list[int], length: int) -> bool
 
 
 def _search_anchor(g: Digraph, into: Sequence[int], anchor: int, allowed: int, length: int) -> tuple[int, ...] | None:
+    """The first cycle of ``length`` arcs through ``anchor`` and the ``allowed`` vertices, in DFS order, or None.
+
+    todo[d] holds the out-neighbours of path[d] still to try, inside the
+    return-distance layer for the arcs left and off the path; the lowest
+    is tried first.  Each of them at depth length - 2 has an arc back to
+    the anchor, so the first one closes the cycle.  The reach cut runs on
+    path[d] once, when its first child has failed (module docstring).
+    """
+    rows = g.rows
     near = _reach_layers(into, anchor, allowed)
     top = len(near) - 1
     path = [anchor]
     used = 1 << anchor
-
-    def extend(v: int, depth: int) -> bool:
-        nonlocal used
-        if depth == length - 1:
-            return g.has_arc(v, anchor)
-        budget = length - depth - 1
-        for w in _iter_bits(g.rows[v] & near[min(budget, top)] & ~used):
-            path.append(w)
-            used |= 1 << w
-            if extend(w, depth + 1):
-                return True
-            path.pop()
-            used &= ~(1 << w)
-        return False
-
-    if extend(anchor, 0):
-        return tuple(path)
+    todo = [rows[anchor] & near[min(length - 1, top)] & ~used]
+    cut = [False]
+    while todo:
+        d = len(path) - 1
+        ahead = todo[d]
+        if ahead:
+            low = ahead & -ahead
+            path.append(low.bit_length() - 1)
+            if d == length - 2:
+                return tuple(path)
+            todo[d] = ahead ^ low
+            used |= low
+            todo.append(rows[path[-1]] & near[min(length - d - 2, top)] & ~used)
+            cut.append(False)
+            continue
+        todo.pop()
+        cut.pop()
+        used ^= 1 << path.pop()
+        if d and not cut[-1]:
+            # path[d - 1]'s first child failed: the reach cut.  "& free" drops the
+            # anchor, which both closures hold when the path is the anchor alone.
+            cut[-1] = True
+            free = allowed & ~used
+            both = _reach_layers(rows, path[-1], free)[-1] & _reach_layers(into, anchor, free)[-1] & free
+            if both.bit_count() < length - d:
+                todo[-1] = 0
+            else:
+                todo[-1] &= both
     return None
 
 

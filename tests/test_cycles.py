@@ -2,16 +2,20 @@ import itertools
 import random
 import time
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import stlab.cycles as cycles
 from stlab.cycles import _period_divides, _strong_components, find_cycle_of_length, is_ck_free, path_ends
 from stlab.digraph import Digraph, _iter_bits, _reach_layers, build_digraph, digon_count, in_rows, permute
 from stlab.families import gen_bk, gen_complete_digraph, gen_fnk, gen_transitive_tournament
+from stlab.serialize import parse_arclist
 
 from conftest import enumerate_digraphs, naive_find_cycle, random_digraph
 
 DIGON = build_digraph(2, [(0, 1), (1, 0)])
+SPARSE_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "sparse32-149arcs.arclist"
 
 
 def assert_valid_witness(g, witness, length):
@@ -370,3 +374,54 @@ def pinned_input(kind, n, seed, length):
 )
 def test_witnesses_are_pinned(kind, n, seed, length, witness):
     assert find_cycle_of_length(pinned_input(kind, n, seed, length), length).vertices == witness
+
+
+def sparse32(i):
+    """Draw i of 30 random n = 32 digraphs, densities 0.1 + 0.4 i / 29, drawn in order from random.Random(15)."""
+    rng = random.Random(15)
+    for j in range(i + 1):
+        g = random_digraph(rng, 32, 0.1 + 0.4 * j / 29)
+    return g
+
+
+def test_sparse_fixture_is_draw_3():
+    assert parse_arclist(SPARSE_FIXTURE.read_text()) == sparse32(3)
+
+
+# Without the reach cut these searches took 13.5, 5.2 and 4.9 s on a 2-vCPU VM, each
+# deep in subtrees whose free vertices cannot close the cycle; with it, under 0.5 s.
+@pytest.mark.time_bound(2)
+@pytest.mark.parametrize(
+    "i, length, witness",
+    [
+        (
+            3, 32,
+            (0, 4, 8, 9, 2, 10, 6, 5, 15, 14, 25, 1, 20, 27, 7, 26, 16, 13, 19, 3, 22, 17, 11, 28, 21, 30, 31, 12, 24, 18, 29, 23),
+        ),
+        (
+            4, 31,
+            (0, 1, 8, 2, 29, 15, 22, 27, 5, 11, 26, 23, 12, 20, 13, 9, 28, 3, 4, 16, 25, 30, 7, 10, 21, 6, 19, 31, 18, 14, 24),
+        ),
+        (
+            6, 32,
+            (0, 4, 2, 1, 5, 7, 13, 3, 10, 12, 14, 9, 18, 16, 17, 24, 25, 15, 22, 23, 20, 28, 19, 11, 30, 26, 31, 27, 29, 21, 6, 8),
+        ),
+    ],
+)
+def test_sparse_searches_cut_dead_ends(i, length, witness):
+    g = parse_arclist(SPARSE_FIXTURE.read_text()) if i == 3 else sparse32(i)
+    assert find_cycle_of_length(g, length).vertices == witness
+
+
+def test_reach_cut_waits_for_a_dead_end(monkeypatch):
+    # K64's first path closes, so only the component pass and the anchor's
+    # return-distance BFS run a BFS: the cut never does.
+    calls = []
+
+    def counted(rows, start, within):
+        calls.append(start)
+        return _reach_layers(rows, start, within)
+
+    monkeypatch.setattr(cycles, "_reach_layers", counted)
+    assert find_cycle_of_length(gen_complete_digraph(64), 64).vertices == tuple(range(64))
+    assert len(calls) == 2

@@ -227,3 +227,22 @@ def test_ordering_reports_non_increasing_violation(monkeypatch):
     _patch_blocks(monkeypatch, lambda head, resid, tail: (head, resid[:2] + [4], tail))
     with pytest.raises(ArithmeticError, match=r"placement 2 is not non-increasing: \(6, 6, 6, 3, 3, 3, 4\)"):
         verify_fnk_ordering(7, 3)
+
+
+def test_ordering_names_a_single_broken_tail_junction(monkeypatch):
+    # tail [1, 2] rises only where the two tail blocks meet, in placement 0:
+    # resid [6, 3, 0] stays above it, so only the consecutive-tails check sees it.
+    _patch_blocks(monkeypatch, lambda head, resid, tail: (head, resid, [1, 2]))
+    with pytest.raises(ArithmeticError) as failure:
+        verify_fnk_ordering(7, 3)
+    assert str(failure.value) == "placement 0 is not non-increasing: (6, 1, 1, 1, 2, 2, 2)"
+
+
+def test_ordering_names_a_single_broken_energy_step(monkeypatch):
+    # resid[1] = 4 keeps every placement non-increasing and raises placement 1's
+    # energy from 141 to 148, past placement 2's 147: step 0 -> 1 holds, 0 -> 2
+    # holds, and only step 1 -> 2 fails.
+    _patch_blocks(monkeypatch, lambda head, resid, tail: (head, [6, 4, 0], tail))
+    with pytest.raises(ArithmeticError) as failure:
+        verify_fnk_ordering(7, 3)
+    assert str(failure.value) == "energy ordering violated at n=7, k=3: LE(s=1)=148 !< LE(s=2)=147"

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 import struct
+import time
 from pathlib import Path
 
 import pytest
@@ -386,6 +387,21 @@ def test_every_order_reports_match_per_order_searches():
                 for m, report in enumerate(reports, start=1):
                     want = search_extremal(m, length, objective)
                     assert dumps(report_json(report)) == dumps(report_json(want)), (n, m, length, objective)
+
+
+def test_elapsed_ms_lies_inside_the_callers_wall_time():
+    # n = 3 takes well under 1 ms, so an offset shows; n = 7 takes several ms, so a scale does.
+    for args in ((3, 3, "LE"), (7, 3, "LE")):
+        start = time.perf_counter()
+        report = search_extremal(*args)
+        wall_ms = (time.perf_counter() - start) * 1000
+        assert 0 <= report.elapsed_ms <= wall_ms + 1, (args, report.elapsed_ms, wall_ms)
+        start = time.perf_counter()
+        reports = search_every_order(*args)
+        wall_ms = (time.perf_counter() - start) * 1000
+        elapsed = [report.elapsed_ms for report in reports]
+        assert 0 <= elapsed[0] and elapsed[-1] <= wall_ms + 1, (args, elapsed, wall_ms)
+        assert elapsed == sorted(elapsed), (args, elapsed)
 
 
 def test_every_order_checks_its_arguments():
